@@ -60,7 +60,7 @@ def build_parser():
     p.add_argument("--budget-cap", type=int, default=2_000_000,
                    help="cap on enumerated clusterings")
     p.add_argument("--iqp-cap", type=int, default=200_000,
-                   help="cap on IQP solver work")
+                   help="node cap per IQP solve")
     p.add_argument("--oracle-crossings", type=int, default=8,
                    help="iterative deepening ceiling for the oracle")
     p.add_argument("--out-report", help="write the solve report (JSON)")
@@ -166,9 +166,10 @@ def _run_dump(cg, args) -> int:
     from .enumeration import enumerate_clusterings
 
     budget = initial_budget(cg)
-    count = 0
-    for c in enumerate_clusterings(cg, budget):
-        count += 1
+    for count, c in enumerate(enumerate_clusterings(cg, budget), 1):
+        if count > args.budget_cap:
+            print("error: clustering cap hit", file=sys.stderr)
+            return EXIT_CAP
         print(f"clustering {count} r={c.r}")
         print(
             "reps "
@@ -179,9 +180,6 @@ def _run_dump(cg, args) -> int:
         )
         print(drawing_to_text(c.drawing), end="")
         print("end")
-        if count >= args.budget_cap:
-            print("error: clustering cap hit", file=sys.stderr)
-            return EXIT_CAP
     return EXIT_OK
 
 

@@ -75,9 +75,6 @@ class Emb:
             self.rot[node] = []
         return node
 
-    def degree(self, node) -> int:
-        return len(self.rot[node])
-
     def crossing_count(self) -> int:
         return len(self.xpairs)
 
@@ -156,17 +153,6 @@ class Emb:
             if v[i] - e[i] + f[i] != 2:
                 return False
         return True
-
-    # -- corners ----------------------------------------------------------
-
-    def corner_face_dart(self, node, pos):
-        """Dart whose face is the face at rotation gap `pos` of `node`.
-
-        A dart inserted at list position p lands between rot[p-1] and
-        rot[p]; the face of that gap is the face containing rot[p].
-        """
-        ring = self.rot[node]
-        return ring[pos % len(ring)] if ring else None
 
     # -- surgery ----------------------------------------------------------
 
@@ -255,17 +241,6 @@ class Emb:
 
     # -- extraction -------------------------------------------------------
 
-    def sequences(self) -> dict[tuple, tuple[int, ...]]:
-        """Per-edge crossing ids in chain (u -> v) order."""
-        out = {}
-        for edge, chain in self.chains.items():
-            cids = []
-            for sid in chain[:-1]:
-                node = self.segs[sid][1]
-                cids.append(node[1])
-            out[edge] = tuple(cids)
-        return out
-
     def vertex_rotation(self, v) -> tuple[int, ...]:
         """Neighbor ids of v in rotation order (simple graphs)."""
         out = []
@@ -284,17 +259,6 @@ class Emb:
                 back = (chain[i - 1], 1)
                 return (chain[i], 0) if forward else back
         raise KeyError((edge, cid))
-
-    def orientation_bit(self, cid) -> int:
-        """0 if the rotation at the dummy reads (e_prev, f_prev, e_next,
-        f_next) cyclically for the lexicographically smaller edge e."""
-        node = xnode(cid)
-        e, f = sorted(self.xpairs[cid])
-        ring = self.rot[node]
-        e_prev = self._dart_toward_prev(e, node)
-        f_prev = self._dart_toward_prev(f, node)
-        i = ring.index(e_prev)
-        return 0 if ring[(i + 1) % 4] == f_prev else 1
 
     def _dart_toward_prev(self, edge, node):
         chain = self.chains[edge]
@@ -353,7 +317,7 @@ def build_emb(graph, sequences, rotations, orientations) -> Emb:
 
     `sequences`: edge -> crossing ids in u -> v order; `rotations`: vertex ->
     cyclic neighbor tuple; `orientations`: crossing id -> 0/1 bit as produced
-    by Emb.orientation_bit.
+    by Emb.drawing_data.
     """
     emb = Emb()
     pair_of: dict[int, list] = {}

@@ -3,7 +3,6 @@ f(z) = z^T Q z + 2 p^T z over products of integer simplices."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
 
@@ -13,7 +12,11 @@ from .graphs import CompressedGraph
 
 
 class IqpCapExceeded(Exception):
-    """The configured enumeration / branch-and-bound work cap was hit."""
+    """The branch-and-bound node cap of one IQP solve was hit."""
+
+
+class ClusteringMismatch(Exception):
+    """A clustering's cover-crossing count disagrees with its drawing."""
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,10 @@ def build_iqp(c: AbstractClustering, cg: CompressedGraph) -> IqpInstance:
     groups = tuple(
         (mask, len(ix), h[mask]) for mask, ix in c.groups
     )
-    assert r == c.r, "cover-crossing count disagrees with the clustering"
+    if r != c.r:
+        raise ClusteringMismatch(
+            f"drawing has {r} cover crossings, the clustering records {c.r}"
+        )
     return IqpInstance(
         groups,
         tuple(tuple(row) for row in qm),
@@ -123,181 +129,74 @@ def true_value(inst: IqpInstance, z) -> int:
     return total
 
 
-def _compositions(total: int, parts: int):
-    """Weak compositions in lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def feasible_points(inst: IqpInstance):
-    per_group = [
-        list(_compositions(h, size)) for _, size, h in inst.groups
-    ]
-    for combo in itertools.product(*per_group):
-        yield tuple(x for part in combo for x in part)
-
-
-def _feasible_count(inst: IqpInstance) -> int:
-    total = 1
-    for _, size, h in inst.groups:
-        total *= comb(h + size - 1, size - 1)
-    return total
-
-
 def solve_iqp(inst: IqpInstance, cap: int = 200_000) -> IqpSolution:
     """Exact global minimizer of f, lexicographically least among optima.
 
-    Small feasible sets are enumerated outright; otherwise an interval
-    branch-and-bound handles the huge-h instances, with `cap` bounding the
-    node budget (IqpCapExceeded on overrun, never a silent approximation).
+    One interval branch-and-bound over boxes tightened against the group
+    sums.  A box splits on its first free coordinate and its low half is
+    searched first.  The incumbent is the pair (f, z), and a box is pruned
+    only when (f at its least corner, least corner) >= (best f, best z):
+    every coefficient of f is nonnegative, so f at the least corner bounds f
+    on the box, and the least corner is lexicographically below every point
+    of the box.  The optimum kept is therefore the lexicographically least.
+    `cap` bounds the boxes expanded by one call (IqpCapExceeded on overrun,
+    never a silent approximation).
     """
     if inst.size == 0:
         return IqpSolution((), 0, inst.r)
-    if _feasible_count(inst) <= cap:
-        best = None
-        best_z = None
-        for z in feasible_points(inst):
-            f = objective(inst, z)
-            if best is None or f < best:
-                best, best_z = f, z
-        return IqpSolution(best_z, best, true_value(inst, best_z))
-    f_star, _ = _bb_min(inst, _full_box(inst), cap)
-    z = _lex_tighten(inst, f_star, cap)
-    return IqpSolution(z, f_star, true_value(inst, z))
-
-
-def _full_box(inst):
-    box = []
-    for _, size, h in inst.groups:
-        box.extend([(0, h)] * size)
-    return box
-
-
-def _propagate(inst, box):
-    """Tighten box bounds against the per-group sum constraints."""
-    box = list(box)
-    for ix, (_, _, h) in zip(inst.index_groups(), inst.groups):
-        lo_sum = sum(box[i][0] for i in ix)
-        hi_sum = sum(box[i][1] for i in ix)
-        if lo_sum > h or hi_sum < h:
-            return None
-        for i in ix:
-            lo, hi = box[i]
-            lo2 = max(lo, h - (hi_sum - hi))
-            hi2 = min(hi, h - (lo_sum - lo))
-            if lo2 > hi2:
-                return None
-            box[i] = (lo2, hi2)
-    return box
-
-
-def _lower_bound(inst, box):
-    """Termwise interval lower bound; all coefficients are nonnegative."""
-    q, p = inst.q, inst.p
-    n = inst.size
-    total = 0
-    for a in range(n):
-        lo = box[a][0]
-        total += q[a][a] * lo * lo + 2 * p[a] * lo
-        for b in range(a + 1, n):
-            total += 2 * q[a][b] * lo * box[b][0]
-    return total
-
-
-def _box_sample(inst, box):
-    """A feasible point inside the box: greedy fill above the lower corner."""
-    z = [lo for lo, _ in box]
-    for ix, (_, _, h) in zip(inst.index_groups(), inst.groups):
-        need = h - sum(z[i] for i in ix)
-        for i in ix:
-            room = box[i][1] - z[i]
-            take = min(room, need)
-            z[i] += take
-            need -= take
-        if need:
-            return None
-    return tuple(z)
-
-
-def _bb_min(inst, box, cap):
-    box = _propagate(inst, box)
-    if box is None:
-        return None, 0
-    incumbent = None
-    z0 = _box_sample(inst, box)
-    if z0 is not None:
-        incumbent = objective(inst, z0)
-    stack = [box]
+    groups = list(zip(inst.index_groups(), (h for _, _, h in inst.groups)))
+    root = _propagate(groups, [(0, h) for ix, h in groups for _ in ix])
+    z = _box_sample(groups, root)
+    best = (objective(inst, z), z)
+    stack = [root]
     nodes = 0
     while stack:
+        box = stack.pop()
+        corner = tuple(lo for lo, _ in box)
+        if (objective(inst, corner), corner) >= best:
+            continue
         nodes += 1
         if nodes > cap:
             raise IqpCapExceeded(f"IQP branch-and-bound exceeded {cap} nodes")
-        cur = stack.pop()
-        lb = _lower_bound(inst, cur)
-        if incumbent is not None and lb >= incumbent:
+        z = _box_sample(groups, box)
+        best = min(best, (objective(inst, z), z))
+        free = next((i for i, (lo, hi) in enumerate(box) if lo < hi), None)
+        if free is None:
             continue
-        if all(lo == hi for lo, hi in cur):
-            val = objective(inst, [lo for lo, _ in cur])
-            if incumbent is None or val < incumbent:
-                incumbent = val
-            continue
-        z = _box_sample(inst, cur)
-        if z is not None:
-            val = objective(inst, z)
-            if incumbent is None or val < incumbent:
-                incumbent = val
-        # split the widest coordinate
-        widths = [(hi - lo, i) for i, (lo, hi) in enumerate(cur)]
-        w, i = max(widths)
-        lo, hi = cur[i]
+        lo, hi = box[free]
         mid = (lo + hi) // 2
-        left = list(cur)
-        left[i] = (lo, mid)
-        right = list(cur)
-        right[i] = (mid + 1, hi)
-        for child in (left, right):
-            child = _propagate(inst, child)
-            if child is None:
-                continue
-            if incumbent is not None and _lower_bound(inst, child) > incumbent:
-                continue
-            stack.append(child)
-    return incumbent, nodes
+        for half in ((mid + 1, hi), (lo, mid)):  # the low half is popped first
+            child = list(box)
+            child[free] = half
+            stack.append(_propagate(groups, child))
+    f, z = best
+    return IqpSolution(z, f, true_value(inst, z))
 
 
-def _min_with_coord_range(inst, fixed, i, lo_hi, cap):
-    box = _full_box(inst)
-    for j, v in fixed.items():
-        box[j] = (v, v)
-    box[i] = lo_hi
-    val, _ = _bb_min(inst, box, cap)
-    return val
+def _propagate(groups, box):
+    """Tighten box bounds, in place, to the projections of the per-group sum
+    constraints.  Every value left in a coordinate's range extends to a
+    feasible point of the box, so no half of a split box is empty."""
+    for ix, h in groups:
+        lo_sum = sum(box[i][0] for i in ix)
+        hi_sum = sum(box[i][1] for i in ix)
+        for i in ix:
+            lo, hi = box[i]
+            box[i] = (max(lo, h - (hi_sum - hi)), min(hi, h - (lo_sum - lo)))
+    return box
 
 
-def _lex_tighten(inst, f_star, cap):
-    """Lexicographically least optimum via per-coordinate binary search."""
-    fixed: dict[int, int] = {}
-    for i in range(inst.size):
-        lo, hi = 0, None
-        for ix, (_, _, h) in zip(inst.index_groups(), inst.groups):
-            if i in ix:
-                hi = h
-        low, high = lo, hi
-        while low < high:
-            mid = (low + high) // 2
-            val = _min_with_coord_range(inst, fixed, i, (low, mid), cap)
-            if val is not None and val == f_star:
-                high = mid
-            else:
-                low = mid + 1
-        # the coordinate's least achievable value given earlier choices
-        fixed[i] = low
-    return tuple(fixed[i] for i in range(inst.size))
+def _box_sample(groups, box):
+    """A feasible point of a tightened box: greedy fill above its least
+    corner."""
+    z = [lo for lo, _ in box]
+    for ix, h in groups:
+        need = h - sum(z[i] for i in ix)
+        for i in ix:
+            take = min(box[i][1] - z[i], need)
+            z[i] += take
+            need -= take
+    return tuple(z)
 
 
 def iqp_to_text(inst: IqpInstance) -> str:

@@ -44,7 +44,6 @@ class PipelineOptions:
     clustering_cap: int = 2_000_000
     rep_set_cap: int = 100_000
     want_drawing: bool = False
-    collect_log: bool = False
 
 
 @dataclass
@@ -57,7 +56,6 @@ class ComponentResult:
     instance: IqpInstance
     clusterings_seen: int
     rep_set_counts: tuple
-    log: tuple = ()
 
 
 @dataclass
@@ -82,9 +80,6 @@ class SolveReport:
                     "winner": drawing_to_text(c.winner.drawing),
                     "winner_reps": [
                         [s.vertex, s.mask, list(s.tag)] for s in c.winner.reps
-                    ],
-                    "log": [
-                        [str(a), str(b)] for a, b in c.log
                     ],
                 }
                 for c in self.components
@@ -222,7 +217,6 @@ def _solve_component(cg: CompressedGraph, opts: PipelineOptions) -> tuple:
         "weights": sol0.z,
         "instance": inst0,
     }
-    log = []
     rep_sets = []
     for i, rs in enumerate(enumerate_rep_sets(cg)):
         if i >= opts.rep_set_cap:
@@ -255,8 +249,6 @@ def _solve_component(cg: CompressedGraph, opts: PipelineOptions) -> tuple:
             c = clustering_from_emb(cg, rs, emb)
             inst = build_iqp(c, cg)
             sol = solve_iqp(inst, opts.iqp_cap)
-            if opts.collect_log:
-                log.append((sol.f, sol.value))
             if sol.value > best["value"]:
                 continue
             key = structural_key(c.drawing)
@@ -269,7 +261,7 @@ def _solve_component(cg: CompressedGraph, opts: PipelineOptions) -> tuple:
                     instance=inst,
                 )
         per_set_counts.append(count)
-    return best, seen_total, tuple(per_set_counts), tuple(log)
+    return best, seen_total, tuple(per_set_counts)
 
 
 def crossing_number(cg: CompressedGraph, opts: PipelineOptions | None = None) -> SolveReport:
@@ -279,7 +271,7 @@ def crossing_number(cg: CompressedGraph, opts: PipelineOptions | None = None) ->
     results = []
     total = 0
     for cover, sub in comps:
-        best, seen, per_set, log = _solve_component(sub, opts)
+        best, seen, per_set = _solve_component(sub, opts)
         total += best["value"]
         results.append(
             ComponentResult(
@@ -291,7 +283,6 @@ def crossing_number(cg: CompressedGraph, opts: PipelineOptions | None = None) ->
                 best["instance"],
                 seen,
                 per_set,
-                log,
             )
         )
     report = SolveReport(total, results, isolated, opts)

@@ -24,7 +24,7 @@ from crossnum.graphs import (
     complete_graph,
     find_vertex_cover,
 )
-from crossnum.iqp import build_iqp, feasible_points, objective, true_value
+from crossnum.iqp import build_iqp, objective, true_value
 from crossnum.oracle import oracle_cr, oracle_drawings
 from crossnum.oraclecfg import OracleConfig
 from crossnum.pipeline import (
@@ -34,6 +34,8 @@ from crossnum.pipeline import (
     lift,
 )
 from crossnum.smallgraphs import small_cover_suite
+
+from iqp_reference import feasible_points
 
 ORACLE = OracleConfig(max_crossings=8, max_edges=18, max_vertices=9)
 

@@ -122,8 +122,17 @@ def test_dump_clusterings(tmp_path):
     src = write_k33(tmp_path)
     code, out, _ = run_cli([src, "--mode", "dump-clusterings"])
     assert code == EXIT_OK
-    assert out.count("clustering ") >= 2
+    n = out.count("clustering ")
+    assert n >= 2
     assert "drawing" in out
+    # the cap is hit only when a clustering beyond it exists
+    code, capped, _ = run_cli([src, "--mode", "dump-clusterings",
+                               "--budget-cap", str(n)])
+    assert code == EXIT_OK and capped == out
+    code, capped, err = run_cli([src, "--mode", "dump-clusterings",
+                                 "--budget-cap", str(n - 1)])
+    assert code == EXIT_CAP and "clustering cap hit" in err
+    assert capped.count("clustering ") == n - 1
 
 
 def test_main_inprocess(tmp_path):

@@ -1,20 +1,24 @@
-import itertools
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crossnum.drawing import crossing_count, zee
 from crossnum.enumeration import enumerate_clusterings
 from crossnum.graphs import CompressedGraph
 from crossnum.iqp import (
+    ClusteringMismatch,
     IqpCapExceeded,
     IqpInstance,
     build_iqp,
-    feasible_points,
     iqp_to_text,
     objective,
     solve_iqp,
     true_value,
 )
+
+from iqp_reference import feasible_points
 
 
 def make_instance(groups, q, p, r=0):
@@ -22,13 +26,34 @@ def make_instance(groups, q, p, r=0):
     return IqpInstance(tuple(groups), tuple(map(tuple, q)), tuple(p), r, diag)
 
 
-def k33_instance():
+def k33_clustering():
     """Two degree-3 representatives drawn without mutual crossings."""
     cg = CompressedGraph.make(3, (), {7: 3})
     for c in enumerate_clusterings(cg, 0):
         if len(c.reps) == 2:
-            return build_iqp(c, cg)
+            return c, cg
     raise AssertionError("planar two-star clustering not found")
+
+
+def k33_instance():
+    return build_iqp(*k33_clustering())
+
+
+@st.composite
+def small_instances(draw):
+    """1-3 groups of 1-3 coordinates, h <= 6, entries 0..3 (ties are common)."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    groups = [
+        (i + 1, size, draw(st.integers(1, 6))) for i, size in enumerate(sizes)
+    ]
+    n = sum(sizes)
+    entry = st.integers(0, 3)
+    q = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            q[a][b] = q[b][a] = draw(entry)
+    p = [draw(entry) for _ in range(n)]
+    return make_instance(groups, q, p, draw(entry))
 
 
 def test_build_iqp_k33():
@@ -37,6 +62,12 @@ def test_build_iqp_k33():
     assert inst.p == (0, 0)
     assert inst.r == 0
     assert inst.groups == ((7, 2, 3),)
+
+
+def test_build_iqp_rejects_tampered_cover_count():
+    c, cg = k33_clustering()
+    with pytest.raises(ClusteringMismatch):
+        build_iqp(replace(c, r=c.r + 1), cg)
 
 
 def test_build_iqp_k2n():
@@ -108,20 +139,19 @@ def test_objective_true_value_identity():
             assert objective(inst, z) - 2 * (true_value(inst, z) - inst.r) == const
 
 
-def test_solver_matches_enumeration():
-    """Exactness against complete enumeration on random-ish instances."""
-    cases = [
-        ([(7, 2, 5)], [[1, 3], [3, 1]], [2, 0], 1),
-        ([(7, 2, 4), (3, 1, 4)], [[1, 0, 2], [0, 1, 1], [2, 1, 0]], [0, 3, 1], 0),
-        ([(7, 3, 4)], [[1, 5, 0], [5, 1, 2], [0, 2, 1]], [1, 1, 1], 2),
-    ]
-    for groups, q, p, r in cases:
-        inst = make_instance(groups, q, p, r)
-        best = min(
-            (objective(inst, z), z) for z in feasible_points(inst)
-        )
-        sol = solve_iqp(inst)
-        assert (sol.f, sol.z) == best
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(small_instances())
+@example(make_instance([(7, 2, 5)], [[1, 3], [3, 1]], [2, 0], 1))
+@example(make_instance([(7, 2, 4), (3, 1, 4)],
+                       [[1, 0, 2], [0, 1, 1], [2, 1, 0]], [0, 3, 1], 0))
+@example(make_instance([(7, 3, 4)], [[1, 5, 0], [5, 1, 2], [0, 2, 1]],
+                       [1, 1, 1], 2))
+def test_solver_matches_enumeration(inst):
+    """The least (f, z) over all feasible points, ties broken by z."""
+    best = min((objective(inst, z), z) for z in feasible_points(inst))
+    sol = solve_iqp(inst)
+    assert (sol.f, sol.z) == best
+    assert sol.value == true_value(inst, sol.z)
 
 
 def test_group_symmetry():
@@ -147,7 +177,7 @@ def test_argmin_sets_agree():
 
 
 def test_branch_and_bound_path():
-    """Huge targets force the interval branch-and-bound."""
+    """Huge targets solve within the default node cap."""
     n = 10**6
     inst = make_instance([(7, 2, n)], [[1, 0], [0, 1]], [0, 0])
     sol = solve_iqp(inst)
@@ -166,7 +196,7 @@ def test_bb_matches_enumeration_medium():
                           [0, 1, 0, 2], [3, 0, 2, 0]],
                          [1, 0, 2, 0])
     brute = min((objective(inst, z), z) for z in feasible_points(inst))
-    sol = solve_iqp(inst, cap=500_000)
+    sol = solve_iqp(inst)
     assert (sol.f, sol.z) == brute
 
 

@@ -20,7 +20,7 @@ from crossnum.graphs import (
     find_vertex_cover,
     isomorphic,
 )
-from crossnum.iqp import build_iqp, feasible_points, true_value
+from crossnum.iqp import build_iqp, true_value
 from crossnum.oraclecfg import OracleConfig
 from crossnum.pipeline import (
     PipelineOptions,
@@ -31,6 +31,8 @@ from crossnum.pipeline import (
     lift,
     verify,
 )
+
+from iqp_reference import feasible_points
 
 
 def test_initial_budget_examples():
