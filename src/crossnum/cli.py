@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .drawing import drawing_to_text
+from .drawing import UnrealizableDrawing, drawing_to_text
 from .graphs import (
     CompressedGraph,
     CoverSizeExceeded,
@@ -19,7 +19,7 @@ from .graphs import (
     parse_compressed,
     parse_edge_list,
 )
-from .iqp import IqpCapExceeded, iqp_to_text
+from .iqp import ClusteringMismatch, IqpCapExceeded, iqp_to_text
 from .oracle import OracleCeilingExceeded, oracle_cr
 from .oraclecfg import OracleConfig
 from .pipeline import (
@@ -27,6 +27,7 @@ from .pipeline import (
     ResourceCapExceeded,
     assemble_lifted,
     crossing_number,
+    enumerate_clusterings,
     initial_budget,
     verify,
 )
@@ -118,10 +119,13 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.mode == "verify":
             return _run_verify(cg, opts, args)
-        return _run_dump(cg, args)
+        return _run_dump(cg, opts)
     except (ResourceCapExceeded, IqpCapExceeded, OracleCeilingExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except (ClusteringMismatch, UnrealizableDrawing, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 def _run_solve(cg, opts, args) -> int:
@@ -162,14 +166,9 @@ def _run_verify(cg, opts, args) -> int:
     return EXIT_OK
 
 
-def _run_dump(cg, args) -> int:
-    from .enumeration import enumerate_clusterings
-
-    budget = initial_budget(cg)
-    for count, c in enumerate(enumerate_clusterings(cg, budget), 1):
-        if count > args.budget_cap:
-            print("error: clustering cap hit", file=sys.stderr)
-            return EXIT_CAP
+def _run_dump(cg, opts) -> int:
+    stream = enumerate_clusterings(cg, initial_budget(cg), opts)
+    for count, c in enumerate(stream, 1):
         print(f"clustering {count} r={c.r}")
         print(
             "reps "

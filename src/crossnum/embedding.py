@@ -289,6 +289,15 @@ class Emb:
             orients[cid] = 0 if ring[(i + 1) % 4] == f_prev else 1
         return seqs, orients
 
+    def to_drawing(self, graph):
+        """The CombinatorialDrawing of this embedding; `graph` lists the
+        drawn vertices and edges, every vertex of it placed here."""
+        from .drawing import CombinatorialDrawing
+
+        seqs, orients = self.drawing_data()
+        rots = {v: self.vertex_rotation(v) for v in graph.vertices}
+        return CombinatorialDrawing.make(graph, seqs, rots, None, orients)
+
     def validate_structure(self):
         """Internal consistency assertions; used in tests and after surgery."""
         for node, ring in self.rot.items():

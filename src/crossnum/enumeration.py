@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 
-from .drawing import CombinatorialDrawing, canonical_cycle, structural_key
+from .drawing import CombinatorialDrawing, canonical_cycle
 from .embedding import Emb, vnode, xnode
 from .graphs import CompressedGraph, Graph
 
@@ -66,6 +67,25 @@ class RepresentativeSet:
 def rep_cap(mask: int, k: int, count: int) -> int:
     """min(h(Y), #rotations): extra zero-weight representatives never help."""
     return min(count, rotations(bin(mask).count("1")))
+
+
+def count_rep_sets(cg: CompressedGraph, cap: int) -> int:
+    """How many sets `enumerate_rep_sets` yields, counted without building
+    any; once the count passes `cap` it stops early at some value above it."""
+    total = 1
+    for m, count in cg.h:
+        if m == 0:
+            continue
+        orders = rotations(bin(m).count("1"))
+        choices = 0
+        for size in range(1, rep_cap(m, cg.k, count) + 1):
+            choices += comb(orders, size)
+            if choices > cap:
+                break
+        total *= choices
+        if total > cap:
+            break
+    return total
 
 
 def enumerate_rep_sets(cg: CompressedGraph):
@@ -280,19 +300,17 @@ class _Router:
             ring_v.insert(v_pos, (seg, 1))
 
 
-def enumerate_embeddings(graph, fixed_rotations=None, bound=0, bound_fn=None):
-    """All sphere drawings of `graph` with at most `bound` crossings.
+def enumerate_embeddings(graph, fixed_rotations, bound_fn):
+    """All sphere drawings of `graph` with at most `bound_fn()` crossings.
 
-    `fixed_rotations` pins cyclic neighbor orders at chosen vertices;
-    `bound_fn` makes the crossing budget dynamic (branch-and-bound).
-    Yields Emb objects in deterministic DFS order; every emitted structure
-    is distinct, but callers wanting equivalence-level uniqueness still
-    deduplicate by canonical key.
+    `fixed_rotations` (or None) pins cyclic neighbor orders at chosen
+    vertices; `bound_fn` is re-read at every step, so a caller may tighten
+    the budget while the stream runs (branch-and-bound).  Yields Emb objects
+    in deterministic DFS order, each emitted structure distinct.
     """
-    fn = bound_fn if bound_fn is not None else (lambda: bound)
     comps = graph.components()
     if len(comps) <= 1:
-        yield from _Router(graph, fixed_rotations, fn).run()
+        yield from _Router(graph, fixed_rotations, bound_fn).run()
         return
     # disconnected hosts: per-component streams, no inter-component crossings
     comps = sorted(comps, key=min)
@@ -302,12 +320,12 @@ def enumerate_embeddings(graph, fixed_rotations=None, bound=0, bound_fn=None):
         fixed = {
             v: t for v, t in (fixed_rotations or {}).items() if v in comp
         }
-        streams.append(list(_Router(sub, fixed, fn).run()))
+        streams.append(list(_Router(sub, fixed, bound_fn).run()))
     for combo in itertools.product(*streams):
         merged = Emb()
         for emb in combo:
             _merge_into(merged, emb)
-        if merged.crossing_count() <= fn():
+        if merged.crossing_count() <= bound_fn():
             yield merged
 
 
@@ -373,36 +391,9 @@ def _cover_crossings(drawing: CombinatorialDrawing, k: int) -> int:
     return n
 
 
-def clustering_from_emb(cg, rep_set, emb) -> AbstractClustering:
-    host = rep_set.host_graph(cg.gx_edges)
-    seqs, orients = emb.drawing_data()
-    rots = {v: emb.vertex_rotation(v) for v in host.vertices}
-    d = CombinatorialDrawing.make(host, seqs, rots, None, orients)
+def clustering_from_emb(rep_set, host, emb) -> AbstractClustering:
+    """The clustering of `rep_set` drawn by `emb`, a drawing of `host`."""
+    d = emb.to_drawing(host)
     return AbstractClustering(
-        cg.k, rep_set.reps, d, _cover_crossings(d, cg.k)
+        rep_set.k, rep_set.reps, d, _cover_crossings(d, rep_set.k)
     )
-
-
-def enumerate_clusterings(cg: CompressedGraph, budget: int):
-    """Stream all abstract topological clusterings within the budget.
-
-    Representative sets in lexicographic order; within a set, drawings are
-    deduplicated up to combinatorial equivalence and sorted by canonical
-    form, so the stream order is deterministic.
-    """
-    for rep_set in enumerate_rep_sets(cg):
-        found = []
-        seen = set()
-        host = rep_set.host_graph(cg.gx_edges)
-        for emb in enumerate_embeddings(
-            host, rep_set.tags_by_vertex(), bound=budget
-        ):
-            c = clustering_from_emb(cg, rep_set, emb)
-            key = structural_key(c.drawing)
-            if key in seen:
-                continue
-            seen.add(key)
-            found.append((key, c))
-        found.sort(key=lambda t: repr(t[0]))
-        for _, c in found:
-            yield c

@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 
 from .drawing import (
     CombinatorialDrawing,
+    UnrealizableDrawing,
     canonical_cycle,
     structural_key,
     crossing_count,
@@ -21,16 +23,17 @@ from .enumeration import (
     AbstractClustering,
     RepresentativeSet,
     RepSpec,
+    _cover_crossings,
     _merge_into,
     clustering_from_emb,
-    cyclic_orders,
+    count_rep_sets,
     enumerate_embeddings,
     enumerate_rep_sets,
     mask_members,
 )
 from .geometry import convex_position_drawing
 from .graphs import CompressedGraph, Graph, expand
-from .iqp import IqpInstance, build_iqp, solve_iqp
+from .iqp import ClusteringMismatch, IqpInstance, build_iqp, solve_iqp
 from .oraclecfg import OracleConfig
 
 
@@ -102,24 +105,18 @@ def chord_clustering(cg: CompressedGraph) -> AbstractClustering:
     as straight chords.
     """
     masks = [m for m, _ in cg.h if m != 0]
-    reps = []
-    nxt = cg.k
-    for m in masks:
-        tag = cyclic_orders(mask_members(m, cg.k))[0]
-        reps.append(RepSpec(nxt, m, tag))
-        nxt += 1
-    rep_set = RepresentativeSet(cg.k, tuple(reps))
-    host = rep_set.host_graph(cg.gx_edges)
+    reps = tuple(
+        RepSpec(cg.k + i, m, mask_members(m, cg.k)) for i, m in enumerate(masks)
+    )
+    host = RepresentativeSet(cg.k, reps).host_graph(cg.gx_edges)
     drawing = convex_position_drawing(host)
     for spec in reps:
         got = canonical_cycle(drawing.rot_map[spec.vertex])
-        assert got == canonical_cycle(spec.tag), "convex rotation mismatch"
-    r = sum(
-        1
-        for e, f in drawing.crossing_pairs.values()
-        if max(e) < cg.k and max(f) < cg.k
+        if got != canonical_cycle(spec.tag):
+            raise ClusteringMismatch(f"convex rotation {got} != tag {spec.tag}")
+    return AbstractClustering(
+        cg.k, reps, drawing, _cover_crossings(drawing, cg.k)
     )
-    return AbstractClustering(cg.k, tuple(reps), drawing, r)
 
 
 def initial_budget(cg: CompressedGraph) -> int:
@@ -196,14 +193,45 @@ def _cl_min(rep_set: RepresentativeSet, cg: CompressedGraph) -> int:
     return total
 
 
-def _max_pairs(host: Graph) -> int:
-    n = 0
-    edges = host.edges
-    for i, e in enumerate(edges):
-        for f in edges[i + 1 :]:
-            if not set(e) & set(f):
-                n += 1
-    return n
+def ordered_rep_sets(cg: CompressedGraph, cap: int) -> list:
+    """All representative sets in solve order: fewest representatives
+    first, then by their (mask, tag) list."""
+    if count_rep_sets(cg, cap) > cap:
+        raise ResourceCapExceeded("representative-set cap exceeded")
+    return sorted(
+        enumerate_rep_sets(cg),
+        key=lambda rs: (len(rs.reps), [(s.mask, s.tag) for s in rs.reps]),
+    )
+
+
+def clustering_stream(cg: CompressedGraph, rep_sets, budget, cap: int):
+    """Yield (i, clustering) for the clusterings of each `rep_sets[i]` in
+    turn, in router DFS order, pairwise distinct.  `budget(i)` is re-read
+    at every router step, so the caller may tighten it as the stream runs;
+    a rep set whose budget is already negative is skipped.  Raises
+    ResourceCapExceeded when a clustering beyond the first `cap` exists.
+    """
+    seen = 0
+    for i, rs in enumerate(rep_sets):
+        bound = partial(budget, i)
+        if bound() < 0:
+            continue
+        host = rs.host_graph(cg.gx_edges)
+        for emb in enumerate_embeddings(host, rs.tags_by_vertex(), bound):
+            seen += 1
+            if seen > cap:
+                raise ResourceCapExceeded(
+                    f"clustering cap hit: more than {cap} clusterings"
+                )
+            yield i, clustering_from_emb(rs, host, emb)
+
+
+def enumerate_clusterings(cg: CompressedGraph, budget: int,
+                          opts: PipelineOptions = PipelineOptions()):
+    """The clustering stream at a fixed crossing budget, in solve order."""
+    rep_sets = ordered_rep_sets(cg, opts.rep_set_cap)
+    stream = clustering_stream(cg, rep_sets, lambda i: budget, opts.clustering_cap)
+    return (c for _, c in stream)
 
 
 def _solve_component(cg: CompressedGraph, opts: PipelineOptions) -> tuple:
@@ -217,51 +245,29 @@ def _solve_component(cg: CompressedGraph, opts: PipelineOptions) -> tuple:
         "weights": sol0.z,
         "instance": inst0,
     }
-    rep_sets = []
-    for i, rs in enumerate(enumerate_rep_sets(cg)):
-        if i >= opts.rep_set_cap:
-            raise ResourceCapExceeded("representative-set cap exceeded")
-        rep_sets.append(rs)
-    rep_sets.sort(
-        key=lambda rs: (len(rs.reps), [(s.mask, s.tag) for s in rs.reps])
-    )
-    seen_total = 0
-    per_set_counts = []
-    for rs in rep_sets:
-        host = rs.host_graph(cg.gx_edges)
-        clmin = _cl_min(rs, cg)
-        maxp = _max_pairs(host)
+    rep_sets = ordered_rep_sets(cg, opts.rep_set_cap)
+    counts = [0] * len(rep_sets)
+    cl_mins = [_cl_min(rs, cg) for rs in rep_sets]
 
-        def bound(best=best, clmin=clmin, maxp=maxp):
-            return min(maxp, best["value"] - 1 - clmin)
+    def budget(i):
+        return best["value"] - 1 - cl_mins[i]
 
-        count = 0
-        if bound() < 0:
-            per_set_counts.append(0)
+    for i, c in clustering_stream(cg, rep_sets, budget, opts.clustering_cap):
+        counts[i] += 1
+        inst = build_iqp(c, cg)
+        sol = solve_iqp(inst, opts.iqp_cap)
+        if sol.value > best["value"]:
             continue
-        for emb in enumerate_embeddings(
-            host, rs.tags_by_vertex(), bound_fn=bound
-        ):
-            count += 1
-            seen_total += 1
-            if seen_total > opts.clustering_cap:
-                raise ResourceCapExceeded("clustering enumeration cap exceeded")
-            c = clustering_from_emb(cg, rs, emb)
-            inst = build_iqp(c, cg)
-            sol = solve_iqp(inst, opts.iqp_cap)
-            if sol.value > best["value"]:
-                continue
-            key = structural_key(c.drawing)
-            if sol.value < best["value"] or repr(key) < repr(best["key"]):
-                best.update(
-                    value=sol.value,
-                    key=key,
-                    clustering=c,
-                    weights=sol.z,
-                    instance=inst,
-                )
-        per_set_counts.append(count)
-    return best, seen_total, tuple(per_set_counts)
+        key = structural_key(c.drawing)
+        if sol.value < best["value"] or repr(key) < repr(best["key"]):
+            best.update(
+                value=sol.value,
+                key=key,
+                clustering=c,
+                weights=sol.z,
+                instance=inst,
+            )
+    return best, sum(counts), tuple(counts)
 
 
 def crossing_number(cg: CompressedGraph, opts: PipelineOptions | None = None) -> SolveReport:
@@ -389,8 +395,8 @@ def duplicate_star(emb: Emb, v: int, v_new: int):
             )
     # per-copy sphere validation is cheap at desk scale; at stacking scale
     # the final lift validation covers it
-    if emb.crossing_count() < 2000:
-        assert emb.euler_ok(), "stacked copy broke the sphere embedding"
+    if emb.crossing_count() < 2000 and not emb.euler_ok():
+        raise UnrealizableDrawing("stacked copy broke the sphere embedding")
 
 
 def remove_edge(emb: Emb, edge):
@@ -445,7 +451,8 @@ def _relabel(emb: Emb, mapping: dict) -> Emb:
 
     def me(edge):
         u, v = mapping[edge[0]], mapping[edge[1]]
-        assert u < v, "relabeling must not flip edge orientation"
+        if u >= v:
+            raise ValueError(f"relabeling turns edge {edge} into {(u, v)}")
         return (u, v)
 
     def mn(node):
@@ -493,12 +500,7 @@ def lift(c: AbstractClustering, z) -> CombinatorialDrawing:
             mapping[old] = nxt
             nxt += 1
     emb = _relabel(emb, mapping)
-    vertices = tuple(range(nxt))
-    edges = tuple(sorted(emb.chains))
-    graph = Graph(vertices, edges)
-    seqs, orients = emb.drawing_data()
-    rots = {u: emb.vertex_rotation(u) for u in vertices if emb.rot.get(vnode(u))}
-    return CombinatorialDrawing.make(graph, seqs, rots, None, orients)
+    return emb.to_drawing(Graph(tuple(range(nxt)), tuple(sorted(emb.chains))))
 
 
 def assemble_lifted(cg: CompressedGraph, report: SolveReport) -> CombinatorialDrawing:
@@ -526,15 +528,7 @@ def assemble_lifted(cg: CompressedGraph, report: SolveReport) -> CombinatorialDr
     vertices = tuple(sorted(
         [n[1] for n in merged.rot if n[0] == "v"]
     ))
-    edges = tuple(sorted(merged.chains))
-    graph = Graph(vertices, edges)
-    seqs, orients = merged.drawing_data()
-    rots = {
-        u: merged.vertex_rotation(u)
-        for u in vertices
-        if merged.rot.get(vnode(u))
-    }
-    return CombinatorialDrawing.make(graph, seqs, rots, None, orients)
+    return merged.to_drawing(Graph(vertices, tuple(sorted(merged.chains))))
 
 
 # ---------------------------------------------------------------------------

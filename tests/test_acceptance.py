@@ -14,7 +14,6 @@ from crossnum.drawing import (
     validate_good,
     zee,
 )
-from crossnum.enumeration import enumerate_clusterings
 from crossnum.geometry import drawing_from_points
 from crossnum.graphs import (
     CompressedGraph,
@@ -31,6 +30,7 @@ from crossnum.pipeline import (
     PipelineOptions,
     crossing_number,
     duplicate_star,
+    enumerate_clusterings,
     lift,
 )
 from crossnum.smallgraphs import small_cover_suite

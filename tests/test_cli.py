@@ -1,18 +1,40 @@
+import resource
 import subprocess
 import sys
 
 import pytest
 
-from crossnum.cli import EXIT_CAP, EXIT_COVER, EXIT_OK, EXIT_PARSE, main
+from crossnum import pipeline
+from crossnum.cli import (
+    EXIT_CAP,
+    EXIT_COVER,
+    EXIT_ERROR,
+    EXIT_OK,
+    EXIT_PARSE,
+    main,
+)
+from crossnum.drawing import UnrealizableDrawing
 from crossnum.graphs import complete_graph, format_compressed, format_edge_list
 from crossnum.graphs import CompressedGraph
+from crossnum.iqp import ClusteringMismatch
+
+# inputs whose representative sets (or, for cover 12, whose cyclic orders)
+# are far too many to list; a solve must refuse them before building any
+BLOWUP_INPUTS = ("7\nh 127 3\n", "12\nh 4095 1\n")
 
 
-def run_cli(args):
+def _limit_memory():
+    # a regression that lists the blow-up inputs' rep sets ends in a
+    # MemoryError of its own process, not in the host running out
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_cli(args, python_flags=(), limit_memory=False):
     proc = subprocess.run(
-        [sys.executable, "-m", "crossnum.cli", *args],
+        [sys.executable, *python_flags, "-m", "crossnum.cli", *args],
         capture_output=True,
         text=True,
+        preexec_fn=_limit_memory if limit_memory else None,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -139,3 +161,44 @@ def test_main_inprocess(tmp_path):
     # exercise the entry point without a subprocess as well
     src = write_k33(tmp_path)
     assert main([src]) == EXIT_OK
+
+
+@pytest.mark.parametrize("mode", ["solve", "dump-clusterings"])
+@pytest.mark.parametrize("text", BLOWUP_INPUTS)
+def test_rep_set_blowup_fails_closed(tmp_path, text, mode):
+    p = tmp_path / "blowup.txt"
+    p.write_text(text)
+    code, out, err = run_cli(
+        [str(p), "--format", "compressed", "--mode", mode], limit_memory=True
+    )
+    assert code == EXIT_CAP, err
+    assert out == ""
+    assert err == "error: representative-set cap exceeded\n"
+
+
+def test_checks_survive_optimized_mode(tmp_path):
+    # `python -O` strips asserts; answers and caps must not depend on them
+    code, out, _ = run_cli([write_k33(tmp_path)], python_flags=("-O",))
+    assert code == EXIT_OK and out.strip() == "1"
+    p = tmp_path / "blowup.txt"
+    p.write_text(BLOWUP_INPUTS[0])
+    code, _, err = run_cli(
+        [str(p), "--format", "compressed"], python_flags=("-O",),
+        limit_memory=True,
+    )
+    assert code == EXIT_CAP, err
+
+
+@pytest.mark.parametrize(
+    "exc", [ClusteringMismatch, UnrealizableDrawing, ValueError]
+)
+def test_failed_internal_check_is_an_error_exit(tmp_path, monkeypatch,
+                                                capsys, exc):
+    def broken_build_iqp(c, cg):
+        raise exc("check failed")
+
+    monkeypatch.setattr(pipeline, "build_iqp", broken_build_iqp)
+    assert main([write_k33(tmp_path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: check failed\n"

@@ -4,7 +4,7 @@ implementations; on common ground they must produce identical drawing sets."""
 import itertools
 import random
 
-from crossnum.drawing import CombinatorialDrawing, structural_key, validate_good
+from crossnum.drawing import structural_key, validate_good
 from crossnum.enumeration import enumerate_embeddings
 from crossnum.graphs import Graph, complete_bipartite, complete_graph
 from crossnum.oracle import oracle_drawings
@@ -12,10 +12,8 @@ from crossnum.oracle import oracle_drawings
 
 def router_keys(g, bound):
     keys = set()
-    for emb in enumerate_embeddings(g, None, bound=bound):
-        seqs, orients = emb.drawing_data()
-        rots = {v: emb.vertex_rotation(v) for v in g.vertices}
-        d = CombinatorialDrawing.make(g, seqs, rots, None, orients)
+    for emb in enumerate_embeddings(g, None, lambda: bound):
+        d = emb.to_drawing(g)
         assert validate_good(d).ok
         keys.add(structural_key(d))
     return keys

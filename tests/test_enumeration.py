@@ -8,7 +8,6 @@ from crossnum.drawing import (
 from crossnum.drawing import clusters as cluster_partition
 from crossnum.enumeration import (
     cyclic_orders,
-    enumerate_clusterings,
     enumerate_rep_sets,
     rotations,
 )
@@ -19,6 +18,7 @@ from crossnum.graphs import (
     complete_bipartite,
 )
 from crossnum.oracle import oracle_drawings
+from crossnum.pipeline import enumerate_clusterings
 
 
 def test_rotations_counts():
@@ -102,21 +102,33 @@ def test_enumerate_clusterings_k33_includes_planar_two_star():
 
 
 def test_emitted_clusterings_validate_and_match_tags():
-    cg = CompressedGraph.make(3, ((0, 1),), {7: 2, 3: 1})
-    seen = set()
-    count = 0
-    for c in enumerate_clusterings(cg, 1):
-        count += 1
-        assert validate_good(c.drawing).ok
-        for spec in c.reps:
-            realized = c.drawing.rot_map[spec.vertex]
-            assert canonical_cycle(realized) == canonical_cycle(spec.tag)
-        pairs = {(s.mask, s.tag) for s in c.reps}
-        assert len(pairs) == len(c.reps)
-        key = structural_key(c.drawing)
-        assert key not in seen  # pairwise non-equivalent per rep set
-        seen.add(key)
-    assert count > 0
+    c4 = ((0, 1), (1, 2), (2, 3), (0, 3))
+    cases = [
+        (CompressedGraph.make(3, ((0, 1),), {7: 2, 3: 1}), 1, 30),
+        (CompressedGraph.make(3, (), {7: 3}), 3, 21),  # K_{3,3}
+        (CompressedGraph.make(4, c4, {15: 3}), 2, 111),  # C4 plus 3
+    ]
+    for cg, budget, expected in cases:
+        seen = set()
+        order = []  # solve keys of the rep sets, in stream order
+        count = 0
+        for c in enumerate_clusterings(cg, budget):
+            count += 1
+            assert validate_good(c.drawing).ok
+            for spec in c.reps:
+                realized = c.drawing.rot_map[spec.vertex]
+                assert canonical_cycle(realized) == canonical_cycle(spec.tag)
+            pairs = {(s.mask, s.tag) for s in c.reps}
+            assert len(pairs) == len(c.reps)
+            key = structural_key(c.drawing)
+            assert key not in seen  # pairwise non-equivalent per rep set
+            seen.add(key)
+            solve_key = (len(c.reps), tuple((s.mask, s.tag) for s in c.reps))
+            if not order or order[-1] != solve_key:
+                order.append(solve_key)
+        assert count == expected
+        # rep sets come in solve order, each one's clusterings together
+        assert all(a < b for a, b in zip(order, order[1:]))
 
 
 def test_counts_independent_of_h_magnitude():

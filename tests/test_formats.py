@@ -9,8 +9,7 @@ from crossnum.graphs import (
     format_edge_list,
 )
 from crossnum.iqp import build_iqp, iqp_to_text
-from crossnum.enumeration import enumerate_clusterings
-from crossnum.pipeline import crossing_number, PipelineOptions
+from crossnum.pipeline import crossing_number, enumerate_clusterings, PipelineOptions
 
 BOWTIE_TEXT = """drawing
 vertices 0 1 2 3

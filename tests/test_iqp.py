@@ -5,7 +5,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossnum.drawing import crossing_count, zee
-from crossnum.enumeration import enumerate_clusterings
 from crossnum.graphs import CompressedGraph
 from crossnum.iqp import (
     ClusteringMismatch,
@@ -17,6 +16,7 @@ from crossnum.iqp import (
     solve_iqp,
     true_value,
 )
+from crossnum.pipeline import enumerate_clusterings
 
 from iqp_reference import feasible_points
 

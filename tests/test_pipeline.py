@@ -8,7 +8,6 @@ from crossnum.drawing import (
     validate_good,
     zee,
 )
-from crossnum.enumeration import enumerate_clusterings
 from crossnum.graphs import (
     CompressedGraph,
     Graph,
@@ -27,6 +26,7 @@ from crossnum.pipeline import (
     assemble_lifted,
     chord_clustering,
     crossing_number,
+    enumerate_clusterings,
     initial_budget,
     lift,
     verify,
@@ -71,6 +71,36 @@ def test_chord_clustering_is_valid():
     c = chord_clustering(cg)
     assert validate_good(c.drawing).ok
     assert len(c.reps) == 3
+
+
+def test_internal_checks_raise_typed_errors(monkeypatch):
+    # these checks were asserts, which vanish under `python -O`
+    from dataclasses import replace
+
+    from crossnum import pipeline
+    from crossnum.drawing import UnrealizableDrawing
+    from crossnum.embedding import Emb
+    from crossnum.iqp import ClusteringMismatch
+
+    cg = CompressedGraph.make(3, (), {7: 3})
+    convex = pipeline.convex_position_drawing
+
+    def mirrored(host):
+        d = convex(host)
+        rots = tuple((v, tuple(reversed(r))) for v, r in d.rotations)
+        return replace(d, rotations=rots)
+
+    monkeypatch.setattr(pipeline, "convex_position_drawing", mirrored)
+    with pytest.raises(ClusteringMismatch):
+        chord_clustering(cg)
+    monkeypatch.undo()
+
+    c = chord_clustering(cg)
+    with pytest.raises(ValueError):
+        pipeline._relabel(c.drawing.emb(), {0: 3, 1: 1, 2: 2, 3: 0})
+    monkeypatch.setattr(Emb, "euler_ok", lambda self: False)
+    with pytest.raises(UnrealizableDrawing):
+        lift(c, (2,))
 
 
 def test_crossing_number_named():
