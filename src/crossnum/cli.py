@@ -25,7 +25,6 @@ from .oraclecfg import OracleConfig
 from .pipeline import (
     PipelineOptions,
     ResourceCapExceeded,
-    assemble_lifted,
     crossing_number,
     enumerate_clusterings,
     initial_budget,
@@ -143,15 +142,14 @@ def _run_solve(cg, opts, args) -> int:
     if args.out_report:
         with open(args.out_report, "w") as fh:
             fh.write(report.to_json())
-    if args.out_drawing or args.out_svg:
-        lifted = report.lifted or assemble_lifted(cg, report)
-        if args.out_drawing:
-            with open(args.out_drawing, "w") as fh:
-                fh.write(drawing_to_text(lifted))
-        if args.out_svg:
-            from .render import render_svg
+    # opts.want_drawing is set whenever either output is asked for
+    if args.out_drawing:
+        with open(args.out_drawing, "w") as fh:
+            fh.write(drawing_to_text(report.lifted))
+    if args.out_svg:
+        from .render import render_svg
 
-            render_svg(lifted, args.out_svg)
+        render_svg(report.lifted, args.out_svg)
     return EXIT_OK
 
 

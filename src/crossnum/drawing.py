@@ -91,6 +91,40 @@ class CombinatorialDrawing:
         emb = build_emb(self.graph, self.seq_map, self.rot_map, dict(ori))
         return emb
 
+    def relabel(self, mapping) -> "CombinatorialDrawing":
+        """The subdrawing on the vertices that `mapping` keys, each renamed
+        to its value.  Crossing ids and orientation bits carry over, and
+        the bits are relative to each edge's direction and each crossing's
+        edge-pair order, so a mapping that reverses a kept edge or reorders
+        a kept crossing's pair raises ValueError."""
+        new = {}  # kept edge -> its image
+        for e in self.graph.edges:
+            if e[0] in mapping and e[1] in mapping:
+                new[e] = (mapping[e[0]], mapping[e[1]])
+                if new[e][0] >= new[e][1]:
+                    raise ValueError(f"relabelling turns edge {e} into {new[e]}")
+        live = set()
+        for c, (e, f) in self.crossing_pairs.items():
+            if e in new and f in new:
+                if new[e] > new[f]:
+                    raise ValueError(
+                        f"relabelling reorders the edge pair of crossing {c}")
+                live.add(c)
+        seqs = {
+            new[e]: tuple(c for c in seq if c in live)
+            for e, seq in self.sequences if e in new
+        }
+        rots = {
+            mapping[v]: tuple(mapping[w] for w in ring if w in mapping)
+            for v, ring in self.rotations if v in mapping
+        }
+        weights = {new[e]: w for e, w in self.weights if e in new}
+        ori = self.orientations
+        if ori is not None:
+            ori = {c: b for c, b in ori if c in live}
+        graph = Graph(tuple(mapping.values()), tuple(new.values()))
+        return CombinatorialDrawing.make(graph, seqs, rots, weights, ori)
+
     def with_orientations(self) -> "CombinatorialDrawing":
         if self.orientations is not None:
             return self

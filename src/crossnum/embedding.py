@@ -163,14 +163,8 @@ class Emb:
         return sid
 
     def _split(self, dart, node):
-        """Split the segment under `dart` at `node`.
-
-        Returns the dummy's rotation pattern [toward head(dart), None,
-        toward tail(dart), None] for a route crossing out of the face of
-        `dart`; slot 1 takes the route's forward dart and slot 3 its
-        backward dart (faces sit on the right of their darts, so the
-        forward dart follows the head-side dart counterclockwise).
-        """
+        """Split the segment under `dart` at `node`; returns the dummy's
+        darts toward head(dart) and toward tail(dart)."""
         seg, end = dart
         ga, gb, g = self.segs[seg]
         s1 = self._new_seg(ga, node, g)
@@ -183,13 +177,47 @@ class Emb:
         del self.segs[seg]
         to_start = (s1, 1)  # dart from node toward ga
         to_end = (s2, 0)    # dart from node toward gb
-        if end == 0:
-            return [to_end, None, to_start, None]
-        return [to_start, None, to_end, None]
+        return (to_end, to_start) if end == 0 else (to_start, to_end)
 
     def _replace(self, node, old, new):
         ring = self.rot[node]
         ring[ring.index(old)] = new
+
+    def _attach(self, node, pos, dart):
+        """Put the first dart of a route piece into the ring of its tail:
+        at gap `pos` of a vertex, or in the open forward slot that
+        cross_dart leaves at a dummy."""
+        self.rot[node].insert(1 if node[0] == "x" else pos, dart)
+
+    def cross_dart(self, edge, node, pos, dart):
+        """Draw a piece of `edge` from `node` (ring gap `pos`) across the
+        segment under `dart`, ending at a new dummy, which is returned.
+
+        The dummy's ring is [toward head(dart), toward tail(dart), back
+        along `edge`]; the next piece fills the open forward slot between
+        the first two (faces sit on the right of their darts, so the
+        forward dart follows the head-side dart counterclockwise).
+        """
+        g = self.edge_of(dart)
+        cid = self._next_x
+        self._next_x += 1
+        x = xnode(cid)
+        to_head, to_tail = self._split(dart, x)
+        self.xpairs[cid] = (g, edge)
+        seg = self._new_seg(node, x, edge)
+        self.chains.setdefault(edge, []).append(seg)
+        self._attach(node, pos, (seg, 0))
+        self.rot[x] = [to_head, to_tail, (seg, 1)]
+        return x
+
+    def finish_edge(self, edge, node, pos, end_pos):
+        """Draw the last piece of `edge` from `node` (ring gap `pos`) to
+        its end vertex, entering that ring at gap `end_pos`."""
+        vn_ = vnode(edge[1])
+        seg = self._new_seg(node, vn_, edge)
+        self.chains.setdefault(edge, []).append(seg)
+        self._attach(node, pos, (seg, 0))
+        self.rot[vn_].insert(end_pos, (seg, 1))
 
     def insert_edge(self, edge, start_pos, steps, end_pos):
         """Insert drawing edge (u, v) along an explicit route.
@@ -199,45 +227,42 @@ class Emb:
         order, each bounding the face the route occupies just before the
         crossing.  Returns the new crossing ids in route order.
         """
-        u, v = edge
         if edge in self.chains:
             raise ValueError(f"edge {edge} already drawn")
-        un, vn_ = self.add_vertex(u), self.add_vertex(v)
+        node = self.add_vertex(edge[0])
+        self.add_vertex(edge[1])
         new_cids = []
-        patterns = []
-        stops = [un]
         for dart in steps:
-            g = self.edge_of(dart)
-            if g == edge:
+            if self.edge_of(dart) == edge:
                 raise ValueError("route crosses its own edge")
-            cid = self._next_x
-            self._next_x += 1
-            node = xnode(cid)
-            self.rot[node] = []
-            patterns.append(self._split(dart, node))
-            self.xpairs[cid] = (g, edge)
-            new_cids.append(cid)
-            stops.append(node)
-        stops.append(vn_)
-        chain = [self._new_seg(a, b, edge) for a, b in zip(stops, stops[1:])]
-        self.chains[edge] = chain
-        for i, cid in enumerate(new_cids):
-            pat = patterns[i]
-            pat[1] = (chain[i + 1], 0)  # forward toward the next stop
-            pat[3] = (chain[i], 1)      # back toward the previous stop
-            self.rot[xnode(cid)] = pat
-        self._insert_end(un, (chain[0], 0), start_pos)
-        self._insert_end(vn_, (chain[-1], 1), end_pos)
+            node = self.cross_dart(edge, node, start_pos, dart)
+            new_cids.append(node[1])
+        self.finish_edge(edge, node, start_pos, end_pos)
         return new_cids
 
-    def _insert_end(self, node, dart, pos):
-        """Insert at rotation gap `pos`; pos == len(ring) appends, which is
-        the same gap as 0 cyclically but keeps insertion-order bookkeeping."""
-        ring = self.rot[node]
-        if not ring:
-            ring.append(dart)
-        else:
-            ring.insert(pos, dart)
+    def merge(self, other: "Emb"):
+        """Add a disjoint copy of `other`, renumbering its segments and
+        crossings after this embedding's own."""
+        seg_map = {
+            sid: self._next_seg + i for i, sid in enumerate(sorted(other.segs))
+        }
+        self._next_seg += len(seg_map)
+        x_map = {
+            cid: self._next_x + i for i, cid in enumerate(sorted(other.xpairs))
+        }
+        self._next_x += len(x_map)
+
+        def node_map(n):
+            return n if n[0] == "v" else xnode(x_map[n[1]])
+
+        for sid, (a, b, e) in other.segs.items():
+            self.segs[seg_map[sid]] = (node_map(a), node_map(b), e)
+        for e, chain in other.chains.items():
+            self.chains[e] = [seg_map[s] for s in chain]
+        for n, ring in other.rot.items():
+            self.rot[node_map(n)] = [(seg_map[s], d) for s, d in ring]
+        for cid, pair in other.xpairs.items():
+            self.xpairs[x_map[cid]] = pair
 
     # -- extraction -------------------------------------------------------
 
@@ -248,24 +273,6 @@ class Emb:
             a, b = self.edge_of(d)
             out.append(b if a == v else a)
         return tuple(out)
-
-    def chain_darts(self, edge, cid, forward=True):
-        """The darts of `edge` leaving the dummy of `cid` along/against
-        the chain."""
-        chain = self.chains[edge]
-        node = xnode(cid)
-        for i, sid in enumerate(chain):
-            if self.segs[sid][0] == node:
-                back = (chain[i - 1], 1)
-                return (chain[i], 0) if forward else back
-        raise KeyError((edge, cid))
-
-    def _dart_toward_prev(self, edge, node):
-        chain = self.chains[edge]
-        for i, sid in enumerate(chain):
-            if self.segs[sid][0] == node:
-                return (chain[i - 1], 1)
-        raise KeyError((edge, node))
 
     def drawing_data(self):
         """(sequences, orientation bits) in one pass over the chains."""
@@ -299,26 +306,26 @@ class Emb:
         return CombinatorialDrawing.make(graph, seqs, rots, None, orients)
 
     def validate_structure(self):
-        """Internal consistency assertions; used in tests and after surgery."""
+        """Raise ValueError unless rings, chains and darts fit together."""
         for node, ring in self.rot.items():
-            for d in ring:
-                assert self.tail(d) == node, (node, d)
-            assert len(set(ring)) == len(ring), f"duplicate dart at {node}"
+            if any(self.tail(d) != node for d in ring):
+                raise ValueError(f"rotation at {node} holds a foreign dart")
+            if len(set(ring)) != len(ring):
+                raise ValueError(f"duplicate dart at {node}")
             if node[0] == "x":
-                assert len(ring) == 4, f"dummy {node} not degree 4"
                 edges = [self.edge_of(d) for d in ring]
-                assert edges[0] == edges[2] and edges[1] == edges[3], (
-                    f"segments at {node} do not alternate"
-                )
-                assert edges[0] != edges[1], f"self-crossing at {node}"
+                if (len(ring) != 4 or edges[0] != edges[2]
+                        or edges[1] != edges[3] or edges[0] == edges[1]):
+                    raise ValueError(f"dummy {node} does not cross two edges")
         for edge, chain in self.chains.items():
-            assert self.segs[chain[0]][0] == vnode(edge[0])
-            assert self.segs[chain[-1]][1] == vnode(edge[1])
-            for s1, s2 in zip(chain, chain[1:]):
-                assert self.segs[s1][1] == self.segs[s2][0]
+            ends = [self.segs[sid] for sid in chain]
+            if (ends[0][0] != vnode(edge[0]) or ends[-1][1] != vnode(edge[1])
+                    or any(p[1] != q[0] for p, q in zip(ends, ends[1:]))):
+                raise ValueError(f"chain of {edge} is not a path")
         darts = set(self.all_darts())
         in_rings = {d for ring in self.rot.values() for d in ring}
-        assert darts == in_rings, "rotation rings do not cover all darts"
+        if darts != in_rings:
+            raise ValueError("rotation rings do not cover all darts")
 
 
 def build_emb(graph, sequences, rotations, orientations) -> Emb:
@@ -341,12 +348,16 @@ def build_emb(graph, sequences, rotations, orientations) -> Emb:
         emb.rot[xnode(cid)] = []
         emb.xpairs[cid] = tuple(sorted(edges))
     emb._next_x = max(pair_of, default=-1) + 1
+    prev: dict[tuple, tuple] = {}  # (crossing id, edge) -> dart back
+    nxt: dict[tuple, tuple] = {}   # (crossing id, edge) -> dart onward
     for edge in sorted(sequences):
         seq = sequences[edge]
         stops = [vnode(edge[0])] + [xnode(c) for c in seq] + [vnode(edge[1])]
-        emb.chains[edge] = [
-            emb._new_seg(a, b, edge) for a, b in zip(stops, stops[1:])
-        ]
+        chain = [emb._new_seg(a, b, edge) for a, b in zip(stops, stops[1:])]
+        emb.chains[edge] = chain
+        for i, cid in enumerate(seq):
+            prev[cid, edge] = (chain[i], 1)
+            nxt[cid, edge] = (chain[i + 1], 0)
     # vertex rotations: map neighbor order to first-segment darts
     for v, neighbors in rotations.items():
         ring = []
@@ -357,12 +368,9 @@ def build_emb(graph, sequences, rotations, orientations) -> Emb:
         emb.rot[vnode(v)] = ring
     # dummy rotations from orientation bits
     for cid, (e, f) in emb.xpairs.items():
-        e_prev = emb._dart_toward_prev(e, xnode(cid))
-        e_next = emb.chain_darts(e, cid, forward=True)
-        f_prev = emb._dart_toward_prev(f, xnode(cid))
-        f_next = emb.chain_darts(f, cid, forward=True)
+        ep, en, fp, fn = prev[cid, e], nxt[cid, e], prev[cid, f], nxt[cid, f]
         if orientations.get(cid, 0) == 0:
-            emb.rot[xnode(cid)] = [e_prev, f_prev, e_next, f_next]
+            emb.rot[xnode(cid)] = [ep, fp, en, fn]
         else:
-            emb.rot[xnode(cid)] = [e_prev, f_next, e_next, f_prev]
+            emb.rot[xnode(cid)] = [ep, fn, en, fp]
     return emb

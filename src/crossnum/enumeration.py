@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .drawing import CombinatorialDrawing, canonical_cycle
-from .embedding import Emb, vnode, xnode
+from .embedding import Emb, vnode
 from .graphs import CompressedGraph, Graph
 
 
@@ -201,45 +201,39 @@ class _Router:
 
     def _route(self, emb, edge, budget_left):
         """Yield copies of `emb` with `edge` drawn, one per distinct route."""
-        u, v = edge
-        blocked = {edge} | {
-            f for f in self.graph.edges if set(f) & set(edge) and f != edge
-        }
-        ring_u = emb.rot[vnode(u)]
+        ring_u = emb.rot[vnode(edge[0])]
         faces, where = emb.dart_face_map()
         if ring_u:
-            starts = [(("v_pos", pos), where[ring_u[pos]])
-                      for pos in range(len(ring_u))]
+            starts = [(pos, where[ring_u[pos]]) for pos in range(len(ring_u))]
         elif faces:
-            starts = [(("v_pos", 0), fid) for fid in range(len(faces))]
+            starts = [(0, fid) for fid in range(len(faces))]
         else:
-            starts = [(("v_pos", 0), None)]
-        for attach, fid in starts:
+            starts = [(0, None)]
+        for pos, fid in starts:
             yield from self._grow(
-                emb, edge, vnode(u), attach, fid, frozenset(), budget_left
+                emb, edge, vnode(edge[0]), pos, fid, frozenset(), budget_left
             )
 
-    def _grow(self, emb, edge, prev_node, prev_attach, fid, crossed, budget):
-        """Extend the partial route living at (prev_node, prev_attach)."""
-        vn_ = vnode(edge[1])
+    def _grow(self, emb, edge, node, pos, fid, crossed, budget):
+        """Extend the partial route ending at `node` (ring gap `pos`)."""
         if fid is None:
             # empty arrangement: only the plain segment is possible
             child = emb.copy()
-            self._finish(child, edge, prev_node, prev_attach, 0)
+            child.finish_edge(edge, node, pos, 0)
             yield child
             return
         faces, where = emb.dart_face_map()
         cycle = faces[fid]
-        ring_v = emb.rot[vn_]
+        ring_v = emb.rot[vnode(edge[1])]
         if not ring_v:
             child = emb.copy()
-            self._finish(child, edge, prev_node, prev_attach, 0)
+            child.finish_edge(edge, node, pos, 0)
             yield child
         else:
-            for pos in range(len(ring_v)):
-                if where[ring_v[pos]] == fid:
+            for end_pos in range(len(ring_v)):
+                if where[ring_v[end_pos]] == fid:
                     child = emb.copy()
-                    self._finish(child, edge, prev_node, prev_attach, pos)
+                    child.finish_edge(edge, node, pos, end_pos)
                     yield child
         if budget <= len(crossed):
             return
@@ -248,56 +242,13 @@ class _Router:
             if g in crossed or g == edge or (set(g) & set(edge)):
                 continue
             child = emb.copy()
-            x_node, next_fid = self._cross(
-                child, edge, prev_node, prev_attach, dart
-            )
+            x = child.cross_dart(edge, node, pos, dart)
+            # the route continues in the face of the dummy's open slot
+            _, where_x = child.dart_face_map()
             yield from self._grow(
-                child, edge, x_node, ("x_gap",), next_fid,
+                child, edge, x, None, where_x[child.rot[x][1]],
                 crossed | {g}, budget,
             )
-
-    def _attach_back(self, emb, node, attach, dart):
-        """Wire the back-dart of a new route segment at its tail."""
-        ring = emb.rot[node]
-        if attach == ("x_gap",):
-            ring.insert(1, dart)  # the reserved forward slot of a dummy
-        elif not ring:
-            ring.append(dart)
-        else:
-            ring.insert(attach[1], dart)
-
-    def _cross(self, emb, edge, prev_node, prev_attach, dart):
-        """Split under `dart` and draw the route piece up to the new dummy.
-
-        The dummy's ring is left with the forward slot open (list gap 1);
-        the next piece fills it via the ("x_gap",) attach.
-        """
-        g = emb.edge_of(dart)
-        cid = emb._next_x
-        emb._next_x += 1
-        x = xnode(cid)
-        emb.rot[x] = []
-        pat = emb._split(dart, x)  # [to_head, None, to_tail, None]
-        emb.xpairs[cid] = (g, edge)
-        seg = emb._new_seg(prev_node, x, edge)
-        emb.chains.setdefault(edge, []).append(seg)
-        self._attach_back(emb, prev_node, prev_attach, (seg, 0))
-        ring = [pat[0], pat[2], (seg, 1)]
-        emb.rot[x] = ring
-        # continuation face: the open slot sits between pat[0] and pat[2]
-        _, where = emb.dart_face_map()
-        return x, where[ring[1]]
-
-    def _finish(self, emb, edge, prev_node, prev_attach, v_pos):
-        v = edge[1]
-        seg = emb._new_seg(prev_node, vnode(v), edge)
-        emb.chains.setdefault(edge, []).append(seg)
-        self._attach_back(emb, prev_node, prev_attach, (seg, 0))
-        ring_v = emb.rot[vnode(v)]
-        if not ring_v:
-            ring_v.append((seg, 1))
-        else:
-            ring_v.insert(v_pos, (seg, 1))
 
 
 def enumerate_embeddings(graph, fixed_rotations, bound_fn):
@@ -324,32 +275,9 @@ def enumerate_embeddings(graph, fixed_rotations, bound_fn):
     for combo in itertools.product(*streams):
         merged = Emb()
         for emb in combo:
-            _merge_into(merged, emb)
+            merged.merge(emb)
         if merged.crossing_count() <= bound_fn():
             yield merged
-
-
-def _merge_into(target: Emb, other: Emb):
-    seg_map = {}
-    for sid in sorted(other.segs):
-        a, b, e = other.segs[sid]
-        seg_map[sid] = target._new_seg(None, None, None)  # placeholder ids
-    x_map = {}
-    for cid in sorted(other.xpairs):
-        x_map[cid] = target._next_x
-        target._next_x += 1
-
-    def node_map(n):
-        return n if n[0] == "v" else ("x", x_map[n[1]])
-
-    for sid, (a, b, e) in other.segs.items():
-        target.segs[seg_map[sid]] = (node_map(a), node_map(b), e)
-    for e, chain in other.chains.items():
-        target.chains[e] = [seg_map[s] for s in chain]
-    for n, ring in other.rot.items():
-        target.rot[node_map(n)] = [(seg_map[s], d) for s, d in ring]
-    for cid, pair in other.xpairs.items():
-        target.xpairs[x_map[cid]] = pair
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +303,6 @@ class AbstractClustering:
             else:
                 out.append((spec.mask, [i]))
         return tuple((m, tuple(ix)) for m, ix in out)
-
-    def star_edges(self, rep_index: int) -> tuple:
-        spec = self.reps[rep_index]
-        return tuple(
-            (x, spec.vertex) for x in mask_members(spec.mask, self.k)
-        )
 
 
 def _cover_crossings(drawing: CombinatorialDrawing, k: int) -> int:

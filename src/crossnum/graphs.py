@@ -179,6 +179,8 @@ class CompressedGraph:
         for u, v in self.gx_edges:
             if not (0 <= u < v < self.k):
                 raise ValueError(f"G_X edge ({u},{v}) outside cover range")
+        if len(set(self.gx_edges)) != len(self.gx_edges):
+            raise ValueError("repeated G_X edge")
         seen = set()
         for mask, count in self.h:
             if mask < 0 or mask >= (1 << self.k):
@@ -194,9 +196,6 @@ class CompressedGraph:
     @property
     def h_map(self) -> dict[int, int]:
         return dict(self.h)
-
-    def gx_graph(self) -> Graph:
-        return Graph(tuple(range(self.k)), self.gx_edges)
 
     def total_vertices(self) -> int:
         return self.k + sum(c for _, c in self.h)

@@ -24,7 +24,6 @@ from .enumeration import (
     RepresentativeSet,
     RepSpec,
     _cover_crossings,
-    _merge_into,
     clustering_from_emb,
     count_rep_sets,
     enumerate_embeddings,
@@ -313,7 +312,7 @@ def duplicate_star(emb: Emb, v: int, v_new: int):
     v's star exactly Z(deg v) times (left half of the rotation bundled
     against the right half) and repeats every crossing currently carried by
     v's edges, so each existing star copy is crossed just as v was.  The
-    sphere property is asserted after each copy at desk scale and by the
+    sphere property is checked after each copy at desk scale and by the
     caller's validation at stacking scale.
     """
     ring = emb.rot[vnode(v)]
@@ -377,7 +376,8 @@ def duplicate_star(emb: Emb, v: int, v_new: int):
                 target = ringx[(j - 1) % 4]
             else:
                 target = Emb.rev(ringx[(j + 1) % 4])
-            assert emb.edge_of(target) != e_q
+            if emb.edge_of(target) == e_q:
+                raise ValueError(f"stacked copy of {e_q} would cross it")
             steps_out.append(target)
         ring_y = emb.rot[vnode(y_q)]
         t_dart = _away_dart(emb, e_q, y_q)
@@ -399,74 +399,24 @@ def duplicate_star(emb: Emb, v: int, v_new: int):
         raise UnrealizableDrawing("stacked copy broke the sphere embedding")
 
 
-def remove_edge(emb: Emb, edge):
-    while len(emb.chains[edge]) > 1:
-        node = emb.segs[emb.chains[edge][0]][1]
-        _unsplit(emb, node, edge)
-    chain = emb.chains.pop(edge)
-    a, b, _ = emb.segs[chain[0]]
-    emb.rot[a].remove((chain[0], 0))
-    emb.rot[b].remove((chain[0], 1))
-    del emb.segs[chain[0]]
-
-
-def _unsplit(emb: Emb, node, removed_edge):
-    """Delete a dummy on `removed_edge`, merging the partner's segments."""
-    cid = node[1]
-    ring = emb.rot[node]
-    partner_darts = [d for d in ring if emb.edge_of(d) != removed_edge]
-    (s_out_dart,) = [d for d in partner_darts if d[1] == 0]
-    (s_in_dart,) = [d for d in partner_darts if d[1] == 1]
-    s_out = s_out_dart[0]  # (node, b)
-    s_in = s_in_dart[0]  # (a, node)
-    a = emb.segs[s_in][0]
-    b = emb.segs[s_out][1]
-    g = emb.segs[s_in][2]
-    merged = emb._new_seg(a, b, g)
-    chain = emb.chains[g]
-    i = chain.index(s_in)
-    assert chain[i + 1] == s_out
-    chain[i : i + 2] = [merged]
-    emb._replace(a, (s_in, 0), (merged, 0))
-    emb._replace(b, (s_out, 1), (merged, 1))
-    # splice the dummy out of the removed edge's chain
-    rchain = emb.chains[removed_edge]
-    j = next(jj for jj, sid in enumerate(rchain) if emb.segs[sid][1] == node)
-    ra = emb.segs[rchain[j]][0]
-    rb = emb.segs[rchain[j + 1]][1]
-    rmerged = emb._new_seg(ra, rb, removed_edge)
-    emb._replace(ra, (rchain[j], 0), (rmerged, 0))
-    emb._replace(rb, (rchain[j + 1], 1), (rmerged, 1))
-    del emb.segs[rchain[j]]
-    del emb.segs[rchain[j + 1]]
-    del emb.segs[s_in]
-    del emb.segs[s_out]
-    rchain[j : j + 2] = [rmerged]
-    del emb.rot[node]
-    del emb.xpairs[cid]
-
-
-def _relabel(emb: Emb, mapping: dict) -> Emb:
-    out = Emb.__new__(Emb)
-
-    def me(edge):
-        u, v = mapping[edge[0]], mapping[edge[1]]
-        if u >= v:
-            raise ValueError(f"relabeling turns edge {edge} into {(u, v)}")
-        return (u, v)
-
-    def mn(node):
-        return ("v", mapping[node[1]]) if node[0] == "v" else node
-
-    out.segs = {
-        sid: (mn(a), mn(b), me(e)) for sid, (a, b, e) in emb.segs.items()
-    }
-    out.chains = {me(e): list(chain) for e, chain in emb.chains.items()}
-    out.rot = {mn(n): list(ring) for n, ring in emb.rot.items()}
-    out.xpairs = {c: (me(e), me(f)) for c, (e, f) in emb.xpairs.items()}
-    out._next_seg = emb._next_seg
-    out._next_x = emb._next_x
-    return out
+def _lift_emb(c: AbstractClustering, z, cover_ids, first_id) -> tuple:
+    """The embedding of c with each representative replaced by z stacked
+    copies, under final vertex ids: cover vertex i becomes cover_ids[i] and
+    the copies take ids first_id, first_id + 1, ... in representative
+    order.  Returns (embedding, next free id)."""
+    mapping = dict(enumerate(cover_ids))
+    stacks = []
+    nxt = first_id
+    for spec, w in zip(c.reps, z):
+        if w:
+            mapping[spec.vertex] = nxt
+            stacks.append((nxt, w))
+            nxt += w
+    emb = c.drawing.relabel(mapping).emb()
+    for v, w in stacks:
+        for copy in range(v + 1, v + w):
+            duplicate_star(emb, v, copy)
+    return emb, nxt
 
 
 def lift(c: AbstractClustering, z) -> CombinatorialDrawing:
@@ -475,32 +425,8 @@ def lift(c: AbstractClustering, z) -> CombinatorialDrawing:
     Copies are labeled k, k+1, ... in representative order; the total
     crossing count equals the instance's true value at z.
     """
-    emb = c.drawing.emb()
-    temp = max(list(c.drawing.graph.vertices) + [c.k]) + 1
-    copies: dict[int, list[int]] = {}
-    for i, spec in enumerate(c.reps):
-        w = z[i]
-        if w == 0:
-            for edge in c.star_edges(i):
-                remove_edge(emb, edge)
-            node = vnode(spec.vertex)
-            assert not emb.rot[node]
-            del emb.rot[node]
-            copies[i] = []
-            continue
-        copies[i] = [spec.vertex]
-        for _ in range(w - 1):
-            duplicate_star(emb, spec.vertex, temp)
-            copies[i].append(temp)
-            temp += 1
-    mapping = {x: x for x in range(c.k)}
-    nxt = c.k
-    for i in range(len(c.reps)):
-        for old in copies[i]:
-            mapping[old] = nxt
-            nxt += 1
-    emb = _relabel(emb, mapping)
-    return emb.to_drawing(Graph(tuple(range(nxt)), tuple(sorted(emb.chains))))
+    emb, n = _lift_emb(c, z, range(c.k), c.k)
+    return emb.to_drawing(Graph(tuple(range(n)), tuple(sorted(emb.chains))))
 
 
 def assemble_lifted(cg: CompressedGraph, report: SolveReport) -> CombinatorialDrawing:
@@ -510,24 +436,12 @@ def assemble_lifted(cg: CompressedGraph, report: SolveReport) -> CombinatorialDr
     merged = Emb()
     # global ids: cover 0..k-1, then copies per component, isolated last
     nxt = cg.k
-    for (cover, sub), res in zip(comps, report.components):
-        lifted = lift(res.winner, res.weights)
-        emb = lifted.emb()
-        mapping = {}
-        for i, x in enumerate(cover):
-            mapping[i] = x
-        for u in lifted.graph.vertices:
-            if u >= sub.k:
-                mapping[u] = nxt
-                nxt += 1
-        emb = _relabel(emb, mapping)
-        _merge_into(merged, emb)
-    iso_ids = list(range(nxt, nxt + isolated))
-    for u in iso_ids:
+    for (cover, _), res in zip(comps, report.components):
+        emb, nxt = _lift_emb(res.winner, res.weights, cover, nxt)
+        merged.merge(emb)
+    for u in range(nxt, nxt + isolated):
         merged.add_vertex(u)
-    vertices = tuple(sorted(
-        [n[1] for n in merged.rot if n[0] == "v"]
-    ))
+    vertices = tuple(sorted(n[1] for n in merged.rot if n[0] == "v"))
     return merged.to_drawing(Graph(vertices, tuple(sorted(merged.chains))))
 
 

@@ -176,10 +176,29 @@ def test_rep_set_blowup_fails_closed(tmp_path, text, mode):
     assert err == "error: representative-set cap exceeded\n"
 
 
+@pytest.mark.parametrize("mode", ["solve", "verify", "dump-clusterings"])
+def test_repeated_gx_edge_is_a_parse_error(tmp_path, mode):
+    p = tmp_path / "twice.txt"
+    p.write_text("2\ngx 0 1\ngx 0 1\n")
+    code, out, err = run_cli([str(p), "--format", "compressed", "--mode", mode])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == "error: repeated G_X edge\n"
+
+
 def test_checks_survive_optimized_mode(tmp_path):
     # `python -O` strips asserts; answers and caps must not depend on them
     code, out, _ = run_cli([write_k33(tmp_path)], python_flags=("-O",))
     assert code == EXIT_OK and out.strip() == "1"
+    code, out, _ = run_cli([write_k33(tmp_path), "--mode", "verify"],
+                           python_flags=("-O",))
+    assert code == EXIT_OK and out.strip() == "pipeline=1 oracle=1"
+    optimized, plain = tmp_path / "optimized.txt", tmp_path / "plain.txt"
+    code, _, _ = run_cli([write_k33(tmp_path), "--out-drawing", str(optimized)],
+                         python_flags=("-O",))
+    assert code == EXIT_OK
+    assert run_cli([write_k33(tmp_path), "--out-drawing", str(plain)])[0] == EXIT_OK
+    assert optimized.read_text() == plain.read_text()
     p = tmp_path / "blowup.txt"
     p.write_text(BLOWUP_INPUTS[0])
     code, _, err = run_cli(

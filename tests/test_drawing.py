@@ -85,6 +85,38 @@ def test_validate_one_crossing_k5_realizable():
     assert nx.check_planarity(ng)[0]
 
 
+def _swap_dummy_halves(emb):
+    ring = emb.rot[("x", 0)]
+    ring[1], ring[2] = ring[2], ring[1]
+
+
+def _drop_vertex_dart(emb):
+    emb.rot[("v", 0)].pop()
+
+
+def _repeat_vertex_dart(emb):
+    ring = emb.rot[("v", 0)]
+    ring.append(ring[0])
+
+
+def _cut_chain(emb):
+    sid = emb.chains[(2, 4)][0]
+    a, b, e = emb.segs[sid]
+    emb.segs[sid] = (a, ("v", 3), e)
+
+
+@pytest.mark.parametrize("breaker", [
+    _swap_dummy_halves, _drop_vertex_dart, _repeat_vertex_dart, _cut_chain,
+])
+def test_validate_structure_raises_typed_error(breaker):
+    # a typed error, not an assert that `python -O` strips
+    emb = one_crossing_k5().emb()
+    emb.validate_structure()
+    breaker(emb)
+    with pytest.raises(ValueError):
+        emb.validate_structure()
+
+
 def test_validate_unrealizable():
     # K4 with rotations from a planar drawing but one ring reversed has no
     # crossing-free sphere embedding

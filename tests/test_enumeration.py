@@ -1,5 +1,4 @@
 from crossnum.drawing import (
-    CombinatorialDrawing,
     canonical_cycle,
     crossing_count,
     structural_key,
@@ -140,36 +139,6 @@ def test_counts_independent_of_h_magnitude():
         assert ka == kb
 
 
-def _extract_clustering(d, cover):
-    """Topological clustering of an oracle drawing: lex-least member of
-    each cluster, restricted to cover + representatives."""
-    part = cluster_partition(d, cover)
-    reps = [min(cl.members) for cl in part.clusters]
-    keep = set(cover) | set(reps)
-    seqs = {}
-    kept_edges = [
-        e for e in d.graph.edges if e[0] in keep and e[1] in keep
-    ]
-    kept_set = set(kept_edges)
-    pairs = d.crossing_pairs
-    for e in kept_edges:
-        seqs[e] = tuple(
-            c
-            for c in d.seq_map[e]
-            if pairs[c][0] in kept_set and pairs[c][1] in kept_set
-        )
-    rots = {
-        v: tuple(w for w in d.rot_map[v] if w in keep)
-        for v in sorted(keep)
-    }
-    live = {c for s in seqs.values() for c in s}
-    orients = {c: b for c, b in (d.orientations or ()) if c in live}
-    from crossnum.graphs import Graph
-
-    g = Graph(tuple(sorted(keep)), tuple(kept_edges))
-    return CombinatorialDrawing.make(g, seqs, rots, None, orients), part
-
-
 def test_completeness_against_oracle_drawings():
     """Every clustering extracted from an oracle drawing is emitted."""
     cases = [
@@ -181,41 +150,22 @@ def test_completeness_against_oracle_drawings():
         emitted = {}
         for c in enumerate_clusterings(cg, cap + 1):
             emitted[structural_key(c.drawing)] = c
-        cover_sorted = sorted(cover)
-        relab_cover = {v: i for i, v in enumerate(cover_sorted)}
+        relab_cover = {v: i for i, v in enumerate(sorted(cover))}
         for d in oracle_drawings(g, cap):
-            sub, part = _extract_clustering(d, cover)
-            # relabel to the host convention: cover 0..k-1 then reps in
-            # (mask, tag) order
-            reps = []
-            for cl in part.clusters:
-                rep = min(cl.members)
-                mask = sum(1 << relab_cover[x] for x in cl.neighborhood)
-                tag = canonical_cycle(
-                    tuple(relab_cover[x] for x in sub.rot_map[rep])
+            # the lex-least member of each topological cluster represents
+            # it; relabel to the host convention: cover 0..k-1, then the
+            # representatives in (mask, tag) order
+            reps = sorted(
+                (
+                    sum(1 << relab_cover[x] for x in cl.neighborhood),
+                    canonical_cycle(
+                        tuple(relab_cover[x] for x in d.rot_map[min(cl.members)])
+                    ),
+                    min(cl.members),
                 )
-                reps.append((mask, tag, rep))
-            reps.sort()
+                for cl in cluster_partition(d, cover).clusters
+            )
             mapping = dict(relab_cover)
             for i, (_, _, rep) in enumerate(reps):
-                mapping[rep] = len(cover_sorted) + i
-            g2 = sub.graph
-            seqs = {
-                tuple(sorted((mapping[e[0]], mapping[e[1]]))): seq
-                for e, seq in sub.seq_map.items()
-            }
-            rots = {
-                mapping[v]: tuple(mapping[w] for w in ring)
-                for v, ring in sub.rot_map.items()
-            }
-            from crossnum.graphs import Graph
-
-            host = Graph(
-                tuple(sorted(mapping[v] for v in g2.vertices)),
-                tuple(sorted(seqs)),
-            )
-            relabeled = CombinatorialDrawing.make(
-                host, seqs, rots, None,
-                dict(sub.orientations or ()),
-            )
-            assert structural_key(relabeled) in emitted
+                mapping[rep] = len(cover) + i
+            assert structural_key(d.relabel(mapping)) in emitted

@@ -185,6 +185,15 @@ def test_edge_list_format_round_trip():
         parse_edge_list("1 2 3\n")
 
 
+def test_compressed_rejects_repeated_gx_edge():
+    with pytest.raises(ValueError, match="repeated G_X edge"):
+        CompressedGraph.make(2, ((0, 1), (0, 1)), {})
+    with pytest.raises(ValueError, match="repeated G_X edge"):
+        parse_compressed("2\ngx 0 1\ngx 0 1\n")
+    # repeated h lines still add up: an h count may be split over lines
+    assert parse_compressed("3\nh 7 2\nh 7 3\n").h_map == {7: 5}
+
+
 def test_compressed_format_round_trip():
     cg = CompressedGraph.make(3, ((0, 1),), {7: 5, 5: 3})
     assert parse_compressed(format_compressed(cg)) == cg

@@ -1,10 +1,12 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from crossnum.drawing import (
     clusters,
     crossing_count,
+    drawing_to_text,
     validate_good,
     zee,
 )
@@ -18,6 +20,7 @@ from crossnum.graphs import (
     expand,
     find_vertex_cover,
     isomorphic,
+    parse_compressed,
 )
 from crossnum.iqp import build_iqp, true_value
 from crossnum.oraclecfg import OracleConfig
@@ -96,8 +99,18 @@ def test_internal_checks_raise_typed_errors(monkeypatch):
     monkeypatch.undo()
 
     c = chord_clustering(cg)
-    with pytest.raises(ValueError):
-        pipeline._relabel(c.drawing.emb(), {0: 3, 1: 1, 2: 2, 3: 0})
+    with pytest.raises(ValueError, match="turns edge"):
+        c.drawing.relabel({0: 3, 1: 1, 2: 2, 3: 0})
+    # orientation bits are relative to the order of a crossing's edge
+    # pair; swapping two cover vertices keeps every edge's direction but
+    # swaps the pair of the one crossing of this K_{3,3} drawing
+    d = crossing_number(cg, PipelineOptions(want_drawing=True)).lifted
+    (((a, _), (b, _)),) = d.crossing_pairs.values()
+    mapping = {v: v for v in d.graph.vertices}
+    assert d.relabel(mapping) == d
+    mapping[a], mapping[b] = b, a
+    with pytest.raises(ValueError, match="reorders the edge pair"):
+        d.relabel(mapping)
     monkeypatch.setattr(Emb, "euler_ok", lambda self: False)
     with pytest.raises(UnrealizableDrawing):
         lift(c, (2,))
@@ -129,6 +142,23 @@ def test_disconnected_sum_and_isolated():
     assert validate_good(lifted).ok
     assert crossing_count(lifted) == 2
     assert isomorphic(lifted.graph, expand(cg))
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, text", [
+    ("crit8_a", "3\nh 7 3\n"),
+    ("crit8_b", "3\ngx 0 1\ngx 0 2\ngx 1 2\nh 7 3\nh 5 2\n"),
+    ("crit8_c", "4\ngx 0 1\ngx 1 2\ngx 2 3\ngx 0 3\nh 15 1\n"),
+    ("two_stars", "6\nh 7 3\nh 56 3\nh 0 3\n"),
+    ("k35", "3\nh 7 5\n"),
+])
+def test_lifted_drawing_matches_golden(name, text):
+    # the bytes of the lifted drawing are part of the output contract
+    cg = parse_compressed(text)
+    got = drawing_to_text(assemble_lifted(cg, crossing_number(cg)))
+    assert got == (GOLDEN / f"lifted_{name}.txt").read_text()
 
 
 def test_lift_k33_winner():

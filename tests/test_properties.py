@@ -3,37 +3,15 @@
 import itertools
 
 from crossnum.drawing import (
-    CombinatorialDrawing,
     WeightedClustering,
     clusters,
     crossing_count,
     noncluster_count,
     validate_good,
 )
-from crossnum.graphs import Graph, VertexCover, complete_bipartite, compress
+from crossnum.graphs import VertexCover, complete_bipartite, compress
 from crossnum.oracle import oracle_drawings
 from crossnum.pipeline import crossing_number
-
-
-def _restrict(d, keep):
-    keep = set(keep)
-    kept_edges = [e for e in d.graph.edges if e[0] in keep and e[1] in keep]
-    kept_set = set(kept_edges)
-    pairs = d.crossing_pairs
-    seqs = {
-        e: tuple(
-            c for c in d.seq_map[e]
-            if pairs[c][0] in kept_set and pairs[c][1] in kept_set
-        )
-        for e in kept_edges
-    }
-    rots = {
-        v: tuple(w for w in d.rot_map[v] if w in keep) for v in sorted(keep)
-    }
-    live = {c for s in seqs.values() for c in s}
-    orients = {c: b for c, b in (d.orientations or ()) if c in live}
-    g = Graph(tuple(sorted(keep)), tuple(kept_edges))
-    return CombinatorialDrawing.make(g, seqs, rots, None, orients)
 
 
 def test_noncluster_lemma_on_oracle_drawings():
@@ -52,7 +30,7 @@ def test_noncluster_lemma_on_oracle_drawings():
                 *[cl.members for cl in part.clusters]
             ):
                 keep = set(cover) | set(choice)
-                sub = _restrict(d, keep)
+                sub = d.relabel({v: v for v in keep})
                 weights = {
                     rep: part.clusters[i].size
                     for i, rep in enumerate(choice)
@@ -66,7 +44,7 @@ def test_noncluster_lemma_on_oracle_drawings():
 def test_restrictions_of_good_drawings_stay_good():
     g = complete_bipartite(3, 3)
     for d in oracle_drawings(g, 1):
-        sub = _restrict(d, {0, 1, 2, 3, 4})
+        sub = d.relabel({v: v for v in range(5)})
         assert validate_good(sub).ok
         assert crossing_count(sub) <= crossing_count(d)
 
