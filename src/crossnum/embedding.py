@@ -101,13 +101,16 @@ class Emb:
             out.append(tuple(cycle))
         return out
 
-    def dart_face_map(self):
-        faces = self.faces()
-        where = {}
-        for i, cyc in enumerate(faces):
-            for d in cyc:
-                where[d] = i
-        return faces, where
+    def face_at(self, dart):
+        """The face cycle through `dart`, as `faces()` lists it: traced
+        from the cycle's least dart."""
+        cycle = [dart]
+        d = self.succ(dart)
+        while d != dart:
+            cycle.append(d)
+            d = self.succ(d)
+        i = cycle.index(min(cycle))
+        return tuple(cycle[i:] + cycle[:i])
 
     def components(self):
         adj: dict[tuple, list[tuple]] = {n: [] for n in self.rot}

@@ -154,7 +154,10 @@ class _Router:
     Each edge is routed incrementally: every crossing is applied to a copy
     of the arrangement before the route continues, so the reachable corners
     always reflect the partially drawn edge (routes through a face with
-    repeated boundary pieces would otherwise claim impossible chords).
+    repeated boundary pieces would otherwise claim impossible chords).  A
+    route step carries the cycle of the face it is in and traces only the
+    face it enters next, never the whole arrangement; only an edge whose
+    first endpoint has no edge yet lists every face to start in.
     """
 
     def __init__(self, graph, fixed_rotations, bound_fn):
@@ -202,36 +205,33 @@ class _Router:
     def _route(self, emb, edge, budget_left):
         """Yield copies of `emb` with `edge` drawn, one per distinct route."""
         ring_u = emb.rot[vnode(edge[0])]
-        faces, where = emb.dart_face_map()
         if ring_u:
-            starts = [(pos, where[ring_u[pos]]) for pos in range(len(ring_u))]
-        elif faces:
-            starts = [(0, fid) for fid in range(len(faces))]
+            starts = [(pos, emb.face_at(d)) for pos, d in enumerate(ring_u)]
         else:
-            starts = [(0, None)]
-        for pos, fid in starts:
+            starts = [(0, cycle) for cycle in emb.faces()] or [(0, None)]
+        for pos, cycle in starts:
             yield from self._grow(
-                emb, edge, vnode(edge[0]), pos, fid, frozenset(), budget_left
+                emb, edge, vnode(edge[0]), pos, cycle, frozenset(), budget_left
             )
 
-    def _grow(self, emb, edge, node, pos, fid, crossed, budget):
-        """Extend the partial route ending at `node` (ring gap `pos`)."""
-        if fid is None:
+    def _grow(self, emb, edge, node, pos, cycle, crossed, budget):
+        """Extend the partial route ending at `node` (ring gap `pos`) inside
+        the face `cycle`."""
+        if cycle is None:
             # empty arrangement: only the plain segment is possible
             child = emb.copy()
             child.finish_edge(edge, node, pos, 0)
             yield child
             return
-        faces, where = emb.dart_face_map()
-        cycle = faces[fid]
         ring_v = emb.rot[vnode(edge[1])]
         if not ring_v:
             child = emb.copy()
             child.finish_edge(edge, node, pos, 0)
             yield child
         else:
+            on_face = set(cycle)
             for end_pos in range(len(ring_v)):
-                if where[ring_v[end_pos]] == fid:
+                if ring_v[end_pos] in on_face:
                     child = emb.copy()
                     child.finish_edge(edge, node, pos, end_pos)
                     yield child
@@ -244,9 +244,8 @@ class _Router:
             child = emb.copy()
             x = child.cross_dart(edge, node, pos, dart)
             # the route continues in the face of the dummy's open slot
-            _, where_x = child.dart_face_map()
             yield from self._grow(
-                child, edge, x, None, where_x[child.rot[x][1]],
+                child, edge, x, None, child.face_at(child.rot[x][1]),
                 crossed | {g}, budget,
             )
 

@@ -247,6 +247,8 @@ def _solve_component(cg: CompressedGraph, opts: PipelineOptions) -> tuple:
     rep_sets = ordered_rep_sets(cg, opts.rep_set_cap)
     counts = [0] * len(rep_sets)
     cl_mins = [_cl_min(rs, cg) for rs in rep_sets]
+    # distinct clusterings often give equal instances; solve each once
+    solved = {inst0: sol0}
 
     def budget(i):
         return best["value"] - 1 - cl_mins[i]
@@ -254,7 +256,9 @@ def _solve_component(cg: CompressedGraph, opts: PipelineOptions) -> tuple:
     for i, c in clustering_stream(cg, rep_sets, budget, opts.clustering_cap):
         counts[i] += 1
         inst = build_iqp(c, cg)
-        sol = solve_iqp(inst, opts.iqp_cap)
+        sol = solved.get(inst)
+        if sol is None:
+            sol = solved[inst] = solve_iqp(inst, opts.iqp_cap)
         if sol.value > best["value"]:
             continue
         key = structural_key(c.drawing)
@@ -312,8 +316,8 @@ def duplicate_star(emb: Emb, v: int, v_new: int):
     v's star exactly Z(deg v) times (left half of the rotation bundled
     against the right half) and repeats every crossing currently carried by
     v's edges, so each existing star copy is crossed just as v was.  The
-    sphere property is checked after each copy at desk scale and by the
-    caller's validation at stacking scale.
+    sphere property is not checked here; `_lift_emb` checks it once after
+    the last copy.
     """
     ring = emb.rot[vnode(v)]
     m = len(ring)
@@ -393,10 +397,6 @@ def duplicate_star(emb: Emb, v: int, v_new: int):
             emb.insert_edge(
                 new_edge, len(emb.rot[vnode(v_new)]), list(steps_out), start_pos
             )
-    # per-copy sphere validation is cheap at desk scale; at stacking scale
-    # the final lift validation covers it
-    if emb.crossing_count() < 2000 and not emb.euler_ok():
-        raise UnrealizableDrawing("stacked copy broke the sphere embedding")
 
 
 def _lift_emb(c: AbstractClustering, z, cover_ids, first_id) -> tuple:
@@ -416,6 +416,8 @@ def _lift_emb(c: AbstractClustering, z, cover_ids, first_id) -> tuple:
     for v, w in stacks:
         for copy in range(v + 1, v + w):
             duplicate_star(emb, v, copy)
+    if not emb.euler_ok():
+        raise UnrealizableDrawing("stacked copies broke the sphere embedding")
     return emb, nxt
 
 

@@ -1,12 +1,16 @@
+from pathlib import Path
+
 from crossnum.drawing import (
     canonical_cycle,
     crossing_count,
+    drawing_to_text,
     structural_key,
     validate_good,
 )
 from crossnum.drawing import clusters as cluster_partition
 from crossnum.enumeration import (
     cyclic_orders,
+    enumerate_embeddings,
     enumerate_rep_sets,
     rotations,
 )
@@ -17,7 +21,9 @@ from crossnum.graphs import (
     complete_bipartite,
 )
 from crossnum.oracle import oracle_drawings
-from crossnum.pipeline import enumerate_clusterings
+from crossnum.pipeline import enumerate_clusterings, ordered_rep_sets
+
+GOLDEN = Path(__file__).parent / "data"
 
 
 def test_rotations_counts():
@@ -102,17 +108,20 @@ def test_enumerate_clusterings_k33_includes_planar_two_star():
 
 def test_emitted_clusterings_validate_and_match_tags():
     c4 = ((0, 1), (1, 2), (2, 3), (0, 3))
+    # golden streams pin the router's DFS emission order, not just counts
     cases = [
-        (CompressedGraph.make(3, ((0, 1),), {7: 2, 3: 1}), 1, 30),
-        (CompressedGraph.make(3, (), {7: 3}), 3, 21),  # K_{3,3}
-        (CompressedGraph.make(4, c4, {15: 3}), 2, 111),  # C4 plus 3
+        (CompressedGraph.make(3, ((0, 1),), {7: 2, 3: 1}), 1, 30, None),
+        (CompressedGraph.make(3, (), {7: 3}), 3, 21, "dump_k33_b3.txt"),
+        (CompressedGraph.make(4, c4, {15: 3}), 2, 111, "dump_c4p3_b2.txt"),
     ]
-    for cg, budget, expected in cases:
+    for cg, budget, expected, golden in cases:
         seen = set()
         order = []  # solve keys of the rep sets, in stream order
+        texts = []
         count = 0
         for c in enumerate_clusterings(cg, budget):
             count += 1
+            texts.append(drawing_to_text(c.drawing))
             assert validate_good(c.drawing).ok
             for spec in c.reps:
                 realized = c.drawing.rot_map[spec.vertex]
@@ -128,6 +137,29 @@ def test_emitted_clusterings_validate_and_match_tags():
         assert count == expected
         # rep sets come in solve order, each one's clusterings together
         assert all(a < b for a, b in zip(order, order[1:]))
+        if golden is not None:
+            assert "".join(texts) == (GOLDEN / golden).read_text()
+
+
+def test_face_at_is_the_listed_face():
+    cg = CompressedGraph.make(3, ((0, 1),), {7: 4, 3: 4, 5: 4})
+    hosts = [(complete_bipartite(3, 3), None)] + [
+        (rs.host_graph(cg.gx_edges), rs.tags_by_vertex())
+        for rs in ordered_rep_sets(cg, 1000)
+    ]
+    emitted = 0
+    for graph, tags in hosts:
+        for emb in enumerate_embeddings(graph, tags, lambda: 2):
+            emitted += 1
+            faces = emb.faces()
+            where = {d: cycle for cycle in faces for d in cycle}
+            traced = set()
+            for d in emb.all_darts():
+                cycle = emb.face_at(d)
+                assert cycle == where[d]
+                traced.add(cycle)
+            assert traced == set(faces)
+    assert emitted == 36 + 378
 
 
 def test_counts_independent_of_h_magnitude():

@@ -69,6 +69,25 @@ def test_resource_cap_signals():
         crossing_number(cg, PipelineOptions(clustering_cap=0))
 
 
+def test_each_iqp_instance_is_solved_once(monkeypatch):
+    import crossnum.pipeline as pipeline
+
+    solved = []
+    real = pipeline.solve_iqp
+
+    def recording(inst, cap):
+        solved.append(inst)
+        return real(inst, cap)
+
+    monkeypatch.setattr(pipeline, "solve_iqp", recording)
+    cg = CompressedGraph.make(3, ((0, 1),), {7: 4, 3: 4, 5: 4})
+    rep = crossing_number(cg)
+    assert rep.value == 2
+    # the chord clustering's solve plus one per clustering, were none equal
+    assert len(solved) < 1 + rep.components[0].clusterings_seen
+    assert len(solved) == len(set(solved))
+
+
 def test_chord_clustering_is_valid():
     cg = CompressedGraph.make(3, ((0, 1), (0, 2), (1, 2)), {7: 4, 5: 2, 3: 1})
     c = chord_clustering(cg)
