@@ -237,9 +237,11 @@ class _Router:
                     yield child
         if budget <= len(crossed):
             return
+        u, v = edge
         for dart in cycle:
             g = emb.edge_of(dart)
-            if g in crossed or g == edge or (set(g) & set(edge)):
+            # an edge may not cross itself, an adjacent edge or one edge twice
+            if u in g or v in g or g in crossed:
                 continue
             child = emb.copy()
             x = child.cross_dart(edge, node, pos, dart)

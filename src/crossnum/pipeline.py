@@ -45,6 +45,8 @@ class PipelineOptions:
     iqp_cap: int = 200_000
     clustering_cap: int = 2_000_000
     rep_set_cap: int = 100_000
+    # crossings of the lifted drawing; K_{3,1000} has 249 500
+    drawing_cap: int = 250_000
     want_drawing: bool = False
 
 
@@ -433,7 +435,15 @@ def lift(c: AbstractClustering, z) -> CombinatorialDrawing:
 
 def assemble_lifted(cg: CompressedGraph, report: SolveReport) -> CombinatorialDrawing:
     """Lift every component winner and lay the pieces side by side, with
-    the isolated vertices reattached as their own trivial components."""
+    the isolated vertices reattached as their own trivial components.
+    Raises ResourceCapExceeded, before building anything, when the drawing
+    would have more than `drawing_cap` crossings."""
+    cap = report.options.drawing_cap
+    if report.value > cap:
+        raise ResourceCapExceeded(
+            f"drawing cap exceeded: the lifted drawing would have "
+            f"{report.value} crossings (cap {cap})"
+        )
     comps, isolated = _component_split(cg)
     merged = Emb()
     # global ids: cover 0..k-1, then copies per component, isolated last

@@ -176,6 +176,26 @@ def test_rep_set_blowup_fails_closed(tmp_path, text, mode):
     assert err == "error: representative-set cap exceeded\n"
 
 
+@pytest.mark.parametrize("mode", ["solve", "verify"])
+def test_huge_drawing_fails_closed(tmp_path, mode):
+    # compressed K_{3,10^6} solves at once, but its drawing would hold
+    # 249999500000 crossings: the lift is refused before any is built
+    p = tmp_path / "k3n.txt"
+    p.write_text("3\nh 7 1000000\n")
+    drawing = tmp_path / "lifted.txt"
+    # verify lifts the winner itself when no drawing was asked for
+    extra = ["--out-drawing", str(drawing)] if mode == "solve" else []
+    code, out, err = run_cli(
+        [str(p), "--format", "compressed", "--mode", mode, *extra],
+        limit_memory=True,
+    )
+    assert code == EXIT_CAP, err
+    assert out == ""
+    assert err.startswith("error: drawing cap exceeded: ")
+    assert "249999500000 crossings" in err
+    assert not drawing.exists()
+
+
 @pytest.mark.parametrize("mode", ["solve", "verify", "dump-clusterings"])
 def test_repeated_gx_edge_is_a_parse_error(tmp_path, mode):
     p = tmp_path / "twice.txt"

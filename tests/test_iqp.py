@@ -10,6 +10,8 @@ from crossnum.iqp import (
     ClusteringMismatch,
     IqpCapExceeded,
     IqpInstance,
+    _bound,
+    _propagate,
     build_iqp,
     iqp_to_text,
     objective,
@@ -40,11 +42,13 @@ def k33_instance():
 
 
 @st.composite
-def small_instances(draw):
-    """1-3 groups of 1-3 coordinates, h <= 6, entries 0..3 (ties are common)."""
+def small_instances(draw, max_h=6):
+    """1-3 groups of 1-3 coordinates, h <= max_h, entries 0..3 (ties are
+    common)."""
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     groups = [
-        (i + 1, size, draw(st.integers(1, 6))) for i, size in enumerate(sizes)
+        (i + 1, size, draw(st.integers(1, max_h)))
+        for i, size in enumerate(sizes)
     ]
     n = sum(sizes)
     entry = st.integers(0, 3)
@@ -146,12 +150,56 @@ def test_objective_true_value_identity():
                        [[1, 0, 2], [0, 1, 1], [2, 1, 0]], [0, 3, 1], 0))
 @example(make_instance([(7, 3, 4)], [[1, 5, 0], [5, 1, 2], [0, 2, 1]],
                        [1, 1, 1], 2))
+# h up to 40, where the water-filling bound prunes boxes that f at the least
+# corner would expand
+@example(make_instance([(7, 2, 40)], [[1, 0], [0, 1]], [0, 0]))
+@example(make_instance([(7, 2, 37), (3, 2, 40)],
+                       [[3, 1, 0, 2], [1, 2, 1, 0], [0, 1, 1, 0], [2, 0, 0, 3]],
+                       [0, 2, 1, 0]))
 def test_solver_matches_enumeration(inst):
     """The least (f, z) over all feasible points, ties broken by z."""
     best = min((objective(inst, z), z) for z in feasible_points(inst))
     sol = solve_iqp(inst)
     assert (sol.f, sol.z) == best
     assert sol.value == true_value(inst, sol.z)
+
+
+@st.composite
+def instances_with_boxes(draw):
+    """A small instance (h <= 8) and a propagated sub-box around one of its
+    feasible points, so the box is never empty."""
+    inst = draw(small_instances(max_h=8))
+    groups = list(zip(inst.index_groups(), (h for _, _, h in inst.groups)))
+    z = draw(st.sampled_from(list(feasible_points(inst))))
+    box = []
+    for ix, h in groups:
+        for i in ix:
+            box.append((draw(st.integers(0, z[i])), draw(st.integers(z[i], h))))
+    return inst, groups, _propagate(groups, box)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(instances_with_boxes(), st.booleans())
+def test_bound_is_valid_and_exact_on_diagonal_q(case, diagonal):
+    """The box bound never exceeds min f over the box, and its point is a
+    feasible point of the box.  When Q is diagonal (f is then separable),
+    the bound is min f and the point reaches it."""
+    inst, groups, box = case
+    if diagonal:
+        n = inst.size
+        q = [[inst.q[a][b] if a == b else 0 for b in range(n)]
+             for a in range(n)]
+        inst = make_instance(inst.groups, q, inst.p, inst.r)
+    in_box = [
+        z for z in feasible_points(inst)
+        if all(lo <= x <= hi for x, (lo, hi) in zip(z, box))
+    ]
+    best = min(objective(inst, z) for z in in_box)
+    bound, point = _bound(inst, groups, box, tuple(lo for lo, _ in box))
+    assert bound <= best
+    assert point in in_box
+    if diagonal:
+        assert bound == objective(inst, point) == best
 
 
 def test_group_symmetry():

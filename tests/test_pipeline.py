@@ -26,6 +26,7 @@ from crossnum.iqp import build_iqp, true_value
 from crossnum.oraclecfg import OracleConfig
 from crossnum.pipeline import (
     PipelineOptions,
+    ResourceCapExceeded,
     assemble_lifted,
     chord_clustering,
     crossing_number,
@@ -62,8 +63,6 @@ def test_degenerate_inputs():
 
 
 def test_resource_cap_signals():
-    from crossnum.pipeline import ResourceCapExceeded
-
     cg = CompressedGraph.make(3, (), {7: 3})
     with pytest.raises(ResourceCapExceeded):
         crossing_number(cg, PipelineOptions(clustering_cap=0))
@@ -264,6 +263,33 @@ def test_k3n_closed_form_small_and_huge():
     n = 10**6
     got = crossing_number(CompressedGraph.make(3, (), {7: n})).value
     assert got == 249999500000
+
+
+# branch-and-bound nodes allowed per IQP solve, per bit of n
+NODES_PER_BIT = 3
+
+
+@pytest.mark.parametrize("exponent", [3, 6, 9, 12, 18])
+@pytest.mark.parametrize("gx", [(), ((0, 1), (1, 2))], ids=["K3n", "K12n"])
+def test_closed_form_at_scale(gx, exponent):
+    """cr(K_{3,n}) = cr(K_{1,2,n}) = Z(3,n) (Kleitman 1970), with an IQP
+    node cap of NODES_PER_BIT * ceil(log2 n): a solver whose node count
+    grows linearly in n ends in IqpCapExceeded here."""
+    n = 10**exponent
+    opts = PipelineOptions(iqp_cap=NODES_PER_BIT * (n - 1).bit_length())
+    got = crossing_number(CompressedGraph.make(3, gx, {7: n}), opts).value
+    assert got == (n // 2) * ((n - 1) // 2)
+
+
+def test_drawing_cap():
+    cg = CompressedGraph.make(3, (), {7: 3})
+    report = crossing_number(cg, PipelineOptions(drawing_cap=1,
+                                                 want_drawing=True))
+    assert crossing_count(report.lifted) == 1
+    with pytest.raises(ResourceCapExceeded, match="drawing cap"):
+        crossing_number(cg, PipelineOptions(drawing_cap=0, want_drawing=True))
+    # the default lifts K_{3,250}, the largest drawing the tests lift
+    assert PipelineOptions().drawing_cap >= 125 * 124
 
 
 def test_monotone_under_edge_deletion():
