@@ -40,13 +40,17 @@ class ResourceCapExceeded(Exception):
     """An enumeration cap was hit; the result would not be exact."""
 
 
+# Crossings plus vertices of the largest drawing assemble_lifted builds:
+# each crossing costs about 2.5 KB and 44 us to lift, and each vertex one
+# stacked copy or add_vertex call.  K_{3,998} (249 503) is within it.
+DRAWING_CAP = 250_000
+
+
 @dataclass(frozen=True)
 class PipelineOptions:
     iqp_cap: int = 200_000
     clustering_cap: int = 2_000_000
     rep_set_cap: int = 100_000
-    # crossings of the lifted drawing; K_{3,1000} has 249 500
-    drawing_cap: int = 250_000
     want_drawing: bool = False
 
 
@@ -437,12 +441,13 @@ def assemble_lifted(cg: CompressedGraph, report: SolveReport) -> CombinatorialDr
     """Lift every component winner and lay the pieces side by side, with
     the isolated vertices reattached as their own trivial components.
     Raises ResourceCapExceeded, before building anything, when the drawing
-    would have more than `drawing_cap` crossings."""
-    cap = report.options.drawing_cap
-    if report.value > cap:
+    would have more than DRAWING_CAP crossings and vertices together."""
+    n = cg.total_vertices()
+    if report.value + n > DRAWING_CAP:
         raise ResourceCapExceeded(
             f"drawing cap exceeded: the lifted drawing would have "
-            f"{report.value} crossings (cap {cap})"
+            f"{report.value} crossings and {n} vertices "
+            f"(cap {DRAWING_CAP} in all)"
         )
     comps, isolated = _component_split(cg)
     merged = Emb()

@@ -176,12 +176,22 @@ def test_rep_set_blowup_fails_closed(tmp_path, text, mode):
     assert err == "error: representative-set cap exceeded\n"
 
 
+# inputs that solve at once but whose lifted drawings are far too large to
+# build: compressed K_{3,10^6} for its crossings, K_{2,10^6} (planar) for
+# its stacked copies, and 10^6 isolated vertices
+HUGE_DRAWINGS = (
+    ("3\nh 7 1000000\n", "249999500000 crossings and 1000003 vertices"),
+    ("2\nh 3 1000000\n", "0 crossings and 1000002 vertices"),
+    ("2\nh 0 1000000\n", "0 crossings and 1000002 vertices"),
+)
+
+
 @pytest.mark.parametrize("mode", ["solve", "verify"])
-def test_huge_drawing_fails_closed(tmp_path, mode):
-    # compressed K_{3,10^6} solves at once, but its drawing would hold
-    # 249999500000 crossings: the lift is refused before any is built
-    p = tmp_path / "k3n.txt"
-    p.write_text("3\nh 7 1000000\n")
+@pytest.mark.parametrize("text, size", HUGE_DRAWINGS)
+def test_huge_drawing_fails_closed(tmp_path, text, size, mode):
+    # the lift is refused before any part of the drawing is built
+    p = tmp_path / "huge.txt"
+    p.write_text(text)
     drawing = tmp_path / "lifted.txt"
     # verify lifts the winner itself when no drawing was asked for
     extra = ["--out-drawing", str(drawing)] if mode == "solve" else []
@@ -192,7 +202,7 @@ def test_huge_drawing_fails_closed(tmp_path, mode):
     assert code == EXIT_CAP, err
     assert out == ""
     assert err.startswith("error: drawing cap exceeded: ")
-    assert "249999500000 crossings" in err
+    assert f"would have {size} (cap " in err
     assert not drawing.exists()
 
 

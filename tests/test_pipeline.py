@@ -281,15 +281,20 @@ def test_closed_form_at_scale(gx, exponent):
     assert got == (n // 2) * ((n - 1) // 2)
 
 
-def test_drawing_cap():
+def test_drawing_cap(monkeypatch):
+    import crossnum.pipeline as pipeline
+
+    # K_{3,3}: 1 crossing and 6 vertices
     cg = CompressedGraph.make(3, (), {7: 3})
-    report = crossing_number(cg, PipelineOptions(drawing_cap=1,
-                                                 want_drawing=True))
+    monkeypatch.setattr(pipeline, "DRAWING_CAP", 7)
+    report = crossing_number(cg, PipelineOptions(want_drawing=True))
     assert crossing_count(report.lifted) == 1
+    monkeypatch.setattr(pipeline, "DRAWING_CAP", 6)
     with pytest.raises(ResourceCapExceeded, match="drawing cap"):
-        crossing_number(cg, PipelineOptions(drawing_cap=0, want_drawing=True))
+        crossing_number(cg, PipelineOptions(want_drawing=True))
+    monkeypatch.undo()
     # the default lifts K_{3,250}, the largest drawing the tests lift
-    assert PipelineOptions().drawing_cap >= 125 * 124
+    assert pipeline.DRAWING_CAP >= 125 * 124 + 253
 
 
 def test_monotone_under_edge_deletion():
