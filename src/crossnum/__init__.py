@@ -4,7 +4,6 @@ from .drawing import (
     CombinatorialDrawing,
     crossing_count,
     equivalent,
-    planarize,
     validate_good,
     zee,
 )
@@ -16,8 +15,7 @@ from .graphs import (
     expand,
     find_vertex_cover,
 )
-from .oracle import oracle_cr, oracle_drawings
-from .oraclecfg import OracleConfig
+from .oracle import OracleConfig, oracle_cr, oracle_drawings
 from .pipeline import PipelineOptions, crossing_number, initial_budget, lift, verify
 
 __version__ = "0.1.0"
@@ -39,7 +37,6 @@ __all__ = [
     "lift",
     "oracle_cr",
     "oracle_drawings",
-    "planarize",
     "validate_good",
     "verify",
     "zee",

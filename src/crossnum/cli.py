@@ -20,8 +20,7 @@ from .graphs import (
     parse_edge_list,
 )
 from .iqp import ClusteringMismatch, IqpCapExceeded, iqp_to_text
-from .oracle import OracleCeilingExceeded, oracle_cr
-from .oraclecfg import OracleConfig
+from .oracle import OracleCeilingExceeded, OracleConfig, oracle_cr
 from .pipeline import (
     PipelineOptions,
     ResourceCapExceeded,
@@ -66,11 +65,6 @@ def build_parser():
     p.add_argument("--out-report", help="write the solve report (JSON)")
     p.add_argument("--out-drawing", help="write the lifted drawing (text)")
     p.add_argument("--out-svg", help="render the lifted drawing")
-    p.add_argument(
-        "--seed-free",
-        action="store_true",
-        help="assert that no randomness is configured (always true)",
-    )
     p.add_argument("-v", "--verbose", action="store_true")
     return p
 
@@ -108,14 +102,7 @@ def main(argv=None) -> int:
         if args.mode == "solve":
             return _run_solve(cg, opts, args)
         if args.mode == "oracle":
-            g = expand(cg)
-            cfg = OracleConfig(
-                max_crossings=args.oracle_crossings,
-                max_edges=max(18, len(g.edges)),
-                max_vertices=max(9, len(g.vertices)),
-            )
-            print(oracle_cr(g, cfg))
-            return EXIT_OK
+            return _run_oracle(cg, args)
         if args.mode == "verify":
             return _run_verify(cg, opts, args)
         return _run_dump(cg, opts)
@@ -150,6 +137,16 @@ def _run_solve(cg, opts, args) -> int:
         from .render import render_svg
 
         render_svg(report.lifted, args.out_svg)
+    return EXIT_OK
+
+
+def _run_oracle(cg, args) -> int:
+    cfg = OracleConfig(max_crossings=args.oracle_crossings)
+    if cg.total_vertices() > cfg.max_vertices:
+        raise OracleCeilingExceeded(
+            f"graph outside oracle size limits: {cg.total_vertices()} "
+            f"vertices (limit {cfg.max_vertices})")
+    print(oracle_cr(expand(cg), cfg))
     return EXIT_OK
 
 

@@ -1,9 +1,8 @@
-"""Combinatorial good drawings: crossings, rotation systems, planarization,
-equivalence, weighted counts, and topological clusters."""
+"""Combinatorial good drawings: crossings, rotation systems, orientation
+bits, equivalence, crossing counts, and topological clusters."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
 
@@ -26,18 +25,18 @@ class CombinatorialDrawing:
 
     `sequences` maps each edge (u, v), u < v, to its crossing ids in u -> v
     order; `rotations` maps each vertex to the cyclic (counterclockwise)
-    tuple of its neighbors; `orientations` optionally pins the embedding by
-    giving each crossing's local orientation bit.
+    tuple of its neighbors; `orientations` pins the embedding by giving
+    each crossing's local orientation bit.
     """
 
     graph: Graph
     sequences: tuple  # sorted tuple of (edge, tuple_of_cids)
     rotations: tuple  # sorted tuple of (vertex, neighbor_tuple)
-    weights: tuple = ()  # sorted tuple of (edge, weight), 1 if absent
-    orientations: tuple | None = None  # sorted tuple of (cid, bit)
+    orientations: tuple  # sorted tuple of (cid, bit), one per crossing
 
     @staticmethod
-    def make(graph, sequences, rotations, weights=None, orientations=None):
+    def make(graph, sequences, rotations, orientations=None):
+        """A crossing missing from `orientations` gets bit 0."""
         seqs = {e: tuple(s) for e, s in sequences.items()}
         for e in graph.edges:
             seqs.setdefault(e, ())
@@ -45,16 +44,13 @@ class CombinatorialDrawing:
         rots = {v: canonical_cycle(tuple(r)) for v, r in rotations.items()}
         for v in graph.vertices:
             rots.setdefault(v, tuple(graph.adjacency[v]))
-        w = tuple(sorted((weights or {}).items()))
-        ori = None
-        if orientations is not None:
-            ori = tuple(sorted(orientations.items()))
+        bits = orientations or {}
+        cids = {c for seq in seqs.values() for c in seq}
         return CombinatorialDrawing(
             graph,
             tuple(sorted(seqs.items())),
             tuple(sorted(rots.items())),
-            w,
-            ori,
+            tuple(sorted((c, bits.get(c, 0)) for c in cids)),
         )
 
     @property
@@ -66,12 +62,6 @@ class CombinatorialDrawing:
         return dict(self.rotations)
 
     @property
-    def weight_map(self) -> dict:
-        w = {e: 1 for e in self.graph.edges}
-        w.update(dict(self.weights))
-        return w
-
-    @property
     def crossing_pairs(self) -> dict:
         """Crossing id -> sorted (edge, edge) pair."""
         on: dict[int, list] = {}
@@ -81,15 +71,9 @@ class CombinatorialDrawing:
         return {c: tuple(sorted(es)) for c, es in on.items()}
 
     def emb(self) -> Emb:
-        """The stored embedding; derives one when orientations are absent."""
-        ori = self.orientations
-        if ori is None:
-            ori = derive_orientations(self)
-            if ori is None:
-                raise UnrealizableDrawing("no sphere embedding exists")
-            ori = tuple(sorted(ori.items()))
-        emb = build_emb(self.graph, self.seq_map, self.rot_map, dict(ori))
-        return emb
+        """The embedded planarization that the orientation bits pin."""
+        return build_emb(self.graph, self.seq_map, self.rot_map,
+                         dict(self.orientations))
 
     def relabel(self, mapping) -> "CombinatorialDrawing":
         """The subdrawing on the vertices that `mapping` keys, each renamed
@@ -118,23 +102,9 @@ class CombinatorialDrawing:
             mapping[v]: tuple(mapping[w] for w in ring if w in mapping)
             for v, ring in self.rotations if v in mapping
         }
-        weights = {new[e]: w for e, w in self.weights if e in new}
-        ori = self.orientations
-        if ori is not None:
-            ori = {c: b for c, b in ori if c in live}
         graph = Graph(tuple(mapping.values()), tuple(new.values()))
-        return CombinatorialDrawing.make(graph, seqs, rots, weights, ori)
-
-    def with_orientations(self) -> "CombinatorialDrawing":
-        if self.orientations is not None:
-            return self
-        ori = derive_orientations(self)
-        if ori is None:
-            raise UnrealizableDrawing("no sphere embedding exists")
-        return CombinatorialDrawing(
-            self.graph, self.sequences, self.rotations, self.weights,
-            tuple(sorted(ori.items())),
-        )
+        return CombinatorialDrawing.make(graph, seqs, rots,
+                                         dict(self.orientations))
 
 
 @dataclass(frozen=True)
@@ -165,9 +135,6 @@ def _structural_violation(d: CombinatorialDrawing) -> str:
     for v, ring in rots.items():
         if sorted(ring) != sorted(d.graph.adjacency[v]):
             return f"rotation at {v} is not a permutation of its neighbors"
-    for e, w in d.weights:
-        if w < 1:
-            return f"weight of {e} is not positive"
     return ""
 
 
@@ -186,150 +153,38 @@ def validate_good(d: CombinatorialDrawing) -> GoodnessReport:
             return GoodnessReport(False, "double crossing")
         seen_pairs[pr] = c
     # realizability
-    if d.orientations is not None:
-        emb = build_emb(d.graph, d.seq_map, d.rot_map, dict(d.orientations))
-        emb.validate_structure()
-        if not emb.euler_ok():
-            return GoodnessReport(False, "unrealizable rotation/crossing structure")
-    else:
-        if derive_orientations(d) is None:
-            return GoodnessReport(False, "unrealizable rotation/crossing structure")
+    emb = d.emb()
+    emb.validate_structure()
+    if not emb.euler_ok():
+        return GoodnessReport(False, "unrealizable rotation/crossing structure")
     return GoodnessReport(True)
 
 
-def derive_orientations(d: CombinatorialDrawing) -> dict | None:
-    """Lexicographically first crossing-orientation assignment that yields a
-    sphere embedding, or None.  Exponential in the crossing count; fine at
-    the sizes validation is used for."""
-    cids = sorted(d.crossing_pairs)
-    seqs, rots = d.seq_map, d.rot_map
-    for bits in itertools.product((0, 1), repeat=len(cids)):
-        ori = dict(zip(cids, bits))
-        emb = build_emb(d.graph, seqs, rots, ori)
-        if emb.euler_ok():
-            return ori
-    return None
-
-
-def crossing_count(d: CombinatorialDrawing):
-    """Weighted crossing count: each crossing contributes w(e) * w(f)."""
-    w = d.weight_map
-    return sum(w[e] * w[f] for e, f in d.crossing_pairs.values())
-
-
-# ---------------------------------------------------------------------------
-# planarization
-
-
-@dataclass(frozen=True)
-class Planarization:
-    """Plane graph with a degree-4 dummy per crossing, plus traced faces."""
-
-    nodes: tuple
-    segments: tuple  # ((node_a, node_b), parent_edge)
-    rotations: tuple  # (node, dart tuple)
-    faces: tuple  # canonical face cycles
-    components: int
-
-    @property
-    def vertex_count(self):
-        return len(self.nodes)
-
-    @property
-    def edge_count(self):
-        return len(self.segments)
-
-    @property
-    def face_count(self):
-        """Faces on the sphere; disjoint components share one outer face."""
-        return len(self.faces) - (self.components - 1)
-
-    def euler_holds(self) -> bool:
-        return (
-            self.vertex_count - self.edge_count + self.face_count
-            == 1 + self.components
-        )
-
-
-def _canonical_dart(emb: Emb, dart):
-    seg, end = dart
-    a, b, edge = emb.segs[seg]
-    k = emb.chains[edge].index(seg)
-    return (edge, k, end)
-
-
-def canonical_faces(emb: Emb) -> tuple:
-    """Face cycles with segment-position dart names, each cycle rotated to
-    its lexicographic minimum, and the collection sorted."""
-    out = []
-    for cyc in emb.faces():
-        named = [_canonical_dart(emb, dd) for dd in cyc]
-        best = min(
-            tuple(named[i:] + named[:i]) for i in range(len(named))
-        )
-        out.append(best)
-    return tuple(sorted(out))
-
-
-def planarize(d: CombinatorialDrawing) -> Planarization:
-    rep = validate_good(d)
-    if not rep.ok:
-        raise UnrealizableDrawing(rep.violation)
-    emb = d.with_orientations().emb()
-    nodes = tuple(sorted(emb.rot))
-    segments = tuple(
-        sorted(((a, b), e) for a, b, e in emb.segs.values())
-    )
-    rotations = tuple(
-        sorted(
-            (node, tuple(_canonical_dart(emb, dd) for dd in ring))
-            for node, ring in emb.rot.items()
-        )
-    )
-    return Planarization(
-        nodes,
-        segments,
-        rotations,
-        canonical_faces(emb),
-        len(emb.components()),
-    )
+def crossing_count(d: CombinatorialDrawing) -> int:
+    return len(d.crossing_pairs)
 
 
 # ---------------------------------------------------------------------------
 # equivalence
 
 
-def canonical_key(d: CombinatorialDrawing):
-    """Equivalence key: crossing pairs with per-edge orders, plus the
-    planarization's face collection.  Mirror images get distinct keys."""
-    dd = d.with_orientations()
-    pairs = dd.crossing_pairs
-    seq_key = tuple(
-        (e, tuple(pairs[c] for c in seq)) for e, seq in dd.sequences
-    )
-    return (seq_key, canonical_faces(dd.emb()))
-
-
 def structural_key(d: CombinatorialDrawing):
-    """Cheap dedup key with crossings renamed to their edge pairs.
-
-    Rotations, per-edge crossing orders and orientation bits determine the
-    planarization's traced faces, so drawings agree on this key exactly
-    when they agree on canonical_key; this skips the face tracing.
-    """
-    dd = d.with_orientations() if d.orientations is None and d.sequences else d
-    pairs = dd.crossing_pairs
+    """Equivalence key: crossings renamed to their edge pairs, with the
+    per-edge crossing orders, the rotations and the orientation bits.
+    Together these determine the planarization's faces, so mirror images
+    get distinct keys."""
+    pairs = d.crossing_pairs
     seq_key = tuple(
-        (e, tuple(pairs[c] for c in seq)) for e, seq in dd.sequences
+        (e, tuple(pairs[c] for c in seq)) for e, seq in d.sequences
     )
-    ori = tuple(sorted((pairs[c], b) for c, b in (dd.orientations or ())))
-    return (seq_key, dd.rotations, ori)
+    ori = tuple(sorted((pairs[c], b) for c, b in d.orientations))
+    return (seq_key, d.rotations, ori)
 
 
 def equivalent(d1: CombinatorialDrawing, d2: CombinatorialDrawing) -> bool:
     if d1.graph.edges != d2.graph.edges or d1.graph.vertices != d2.graph.vertices:
         raise ValueError("equivalence requires the same underlying graph")
-    return canonical_key(d1) == canonical_key(d2)
+    return structural_key(d1) == structural_key(d2)
 
 
 # ---------------------------------------------------------------------------
@@ -388,31 +243,26 @@ def clusters(d: CombinatorialDrawing, cover: frozenset) -> ClusterPartition:
     return ClusterPartition(tuple(out))
 
 
-def cluster_crossings(d: CombinatorialDrawing, cl: Cluster):
-    """Weighted crossings between pairs of edges both incident to `cl`."""
-    w = d.weight_map
+def cluster_crossings(d: CombinatorialDrawing, cl: Cluster) -> int:
+    """Crossings between pairs of edges both incident to `cl`."""
     members = set(cl.members)
-    total = 0
-    for e, f in d.crossing_pairs.values():
-        if (set(e) & members) and (set(f) & members):
-            total += w[e] * w[f]
-    return total
+    return sum(1 for e, f in d.crossing_pairs.values()
+               if (set(e) & members) and (set(f) & members))
 
 
-def noncluster_count(d: CombinatorialDrawing, cover: frozenset):
-    """Weighted crossings whose edge pair shares no topological cluster."""
+def noncluster_count(d: CombinatorialDrawing, cover: frozenset) -> int:
+    """Crossings whose edge pair shares no topological cluster."""
     part = clusters(d, cover)
     where = {}
     for i, cl in enumerate(part.clusters):
         for v in cl.members:
             where[v] = i
-    w = d.weight_map
     total = 0
     for e, f in d.crossing_pairs.values():
         ce = {where[v] for v in e if v in where}
         cf = {where[v] for v in f if v in where}
         if not (ce & cf):
-            total += w[e] * w[f]
+            total += 1
     return total
 
 
@@ -434,10 +284,6 @@ class WeightedClustering:
             drawing, frozenset(cover), tuple(sorted(vertex_weights.items()))
         )
 
-    @property
-    def weight_map(self):
-        return dict(self.vertex_weights)
-
     def check(self):
         part = clusters(self.drawing, self.cover)
         for cl in part.clusters:
@@ -451,7 +297,7 @@ class WeightedClustering:
 
     def edge_weights(self) -> dict:
         """c'(e): the weight of the non-cover end, 1 for cover-cover edges."""
-        wm = self.weight_map
+        wm = dict(self.vertex_weights)
         out = {}
         for e in self.drawing.graph.edges:
             outside = [v for v in e if v not in self.cover]
@@ -481,26 +327,21 @@ def cl_value(wc: WeightedClustering):
 
 def drawing_to_text(d: CombinatorialDrawing) -> str:
     """Deterministic structured-text form of a drawing."""
-    dd = d.with_orientations() if d.crossing_pairs else d
-    pairs = dd.crossing_pairs
+    pairs = d.crossing_pairs
     order = sorted(pairs, key=lambda c: pairs[c])
     name = {c: i for i, c in enumerate(order)}
     lines = ["drawing"]
-    lines.append("vertices " + " ".join(str(v) for v in dd.graph.vertices))
-    for e, seq in dd.sequences:
+    lines.append("vertices " + " ".join(str(v) for v in d.graph.vertices))
+    for e, seq in d.sequences:
         tail = " ".join(str(name[c]) for c in seq)
         lines.append(f"edge {e[0]} {e[1]} : {tail}".rstrip())
     for c in order:
         (a, b), (x, y) = pairs[c]
         lines.append(f"crossing {name[c]} = {a} {b} x {x} {y}")
-    for v, ring in dd.rotations:
+    for v, ring in d.rotations:
         lines.append(f"rot {v} : " + " ".join(str(w) for w in ring))
-    if dd.orientations:
-        for c, bit in dd.orientations:
-            lines.append(f"orient {name[c]} {bit}")
-    for e, w in dd.weights:
-        if w != 1:
-            lines.append(f"weight {e[0]} {e[1]} : {w}")
+    for c, bit in d.orientations:
+        lines.append(f"orient {name[c]} {bit}")
     return "\n".join(lines) + "\n"
 
 
@@ -508,7 +349,6 @@ def drawing_from_text(text: str) -> CombinatorialDrawing:
     vertices: list[int] = []
     seqs: dict[tuple, tuple] = {}
     rots: dict[int, tuple] = {}
-    weights: dict[tuple, int] = {}
     orients: dict[int, int] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -527,11 +367,7 @@ def drawing_from_text(text: str) -> CombinatorialDrawing:
             rots[int(parts[1])] = tuple(int(x) for x in parts[3:])
         elif parts[0] == "orient":
             orients[int(parts[1])] = int(parts[2])
-        elif parts[0] == "weight":
-            weights[(int(parts[1]), int(parts[2]))] = int(parts[4])
         else:
             raise ValueError(f"unrecognized drawing record: {raw!r}")
     g = Graph(tuple(vertices), tuple(seqs))
-    return CombinatorialDrawing.make(
-        g, seqs, rots, weights, orients if orients else None
-    )
+    return CombinatorialDrawing.make(g, seqs, rots, orients)

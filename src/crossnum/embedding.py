@@ -306,7 +306,7 @@ class Emb:
 
         seqs, orients = self.drawing_data()
         rots = {v: self.vertex_rotation(v) for v in graph.vertices}
-        return CombinatorialDrawing.make(graph, seqs, rots, None, orients)
+        return CombinatorialDrawing.make(graph, seqs, rots, orients)
 
     def validate_structure(self):
         """Raise ValueError unless rings, chains and darts fit together."""

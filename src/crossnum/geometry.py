@@ -69,7 +69,7 @@ def ccw_sorted(items):
     return sorted(items, key=cmp_to_key(lambda p, q: _angle_cmp(p[0], q[0])))
 
 
-def drawing_from_points(graph: Graph, pos: dict, weights=None) -> CombinatorialDrawing:
+def drawing_from_points(graph: Graph, pos: dict) -> CombinatorialDrawing:
     """Read the combinatorial drawing off a straight-line embedding.
 
     Raises DegenerateDrawing on triple points, vertices on edges, adjacent
@@ -131,7 +131,7 @@ def drawing_from_points(graph: Graph, pos: dict, weights=None) -> CombinatorialD
         ring = [tag for _, tag in ccw_sorted(dirs)]
         i = ring.index("e_prev")
         orients[c] = 0 if ring[(i + 1) % 4] == "f_prev" else 1
-    return CombinatorialDrawing.make(graph, seqs, rots, weights, orients)
+    return CombinatorialDrawing.make(graph, seqs, rots, orients)
 
 
 def parabola_points(params) -> list:

@@ -176,6 +176,8 @@ class CompressedGraph:
     h: tuple[tuple[int, int], ...]  # sorted (bitmask, count), count > 0
 
     def __post_init__(self):
+        if self.k < 0:
+            raise ValueError(f"negative cover size {self.k}")
         for u, v in self.gx_edges:
             if not (0 <= u < v < self.k):
                 raise ValueError(f"G_X edge ({u},{v}) outside cover range")
@@ -183,7 +185,7 @@ class CompressedGraph:
             raise ValueError("repeated G_X edge")
         seen = set()
         for mask, count in self.h:
-            if mask < 0 or mask >= (1 << self.k):
+            if mask < 0 or mask.bit_length() > self.k:
                 raise ValueError(f"h mask {mask} not a subset of the cover")
             if count <= 0:
                 raise ValueError("h counts must be positive")

@@ -25,7 +25,6 @@ class IqpInstance:
     q: tuple  # symmetric |I| x |I| matrix, rows as tuples
     p: tuple  # length |I|
     r: int  # crossings inside the cover subdrawing
-    diag_z: tuple  # Z(|Y_i|) per index, duplicating the diagonal of q
 
     @property
     def size(self) -> int:
@@ -71,12 +70,8 @@ def build_iqp(c: AbstractClustering, cg: CompressedGraph) -> IqpInstance:
             a, b = idx_of[re], idx_of[rf]
             qm[a][b] += 1
             qm[b][a] += 1
-    diag = []
-    for spec in reps:
-        d = bin(spec.mask).count("1")
-        diag.append(zee(d))
-    for i in range(n):
-        qm[i][i] = diag[i]
+    for i, spec in enumerate(reps):
+        qm[i][i] = zee(bin(spec.mask).count("1"))
     groups = tuple(
         (mask, len(ix), h[mask]) for mask, ix in c.groups
     )
@@ -84,13 +79,7 @@ def build_iqp(c: AbstractClustering, cg: CompressedGraph) -> IqpInstance:
         raise ClusteringMismatch(
             f"drawing has {r} cover crossings, the clustering records {c.r}"
         )
-    return IqpInstance(
-        groups,
-        tuple(tuple(row) for row in qm),
-        tuple(p),
-        r,
-        tuple(diag),
-    )
+    return IqpInstance(groups, tuple(tuple(row) for row in qm), tuple(p), r)
 
 
 def objective(inst: IqpInstance, z) -> int:
@@ -125,7 +114,7 @@ def true_value(inst: IqpInstance, z) -> int:
         total += p[a] * za
         for b in range(a + 1, n):
             total += q[a][b] * za * z[b]
-        total += comb(za, 2) * inst.diag_z[a]
+        total += comb(za, 2) * q[a][a]
     return total
 
 

@@ -10,7 +10,7 @@ own face-insertion routine.
 from __future__ import annotations
 
 import itertools
-import time
+from dataclasses import dataclass
 
 import networkx as nx
 
@@ -20,11 +20,23 @@ from .drawing import (
     structural_key,
 )
 from .graphs import Graph, automorphisms
-from .oraclecfg import OracleConfig
 
 
 class OracleCeilingExceeded(Exception):
     pass
+
+
+@dataclass(frozen=True)
+class OracleConfig:
+    """Size and effort limits of the brute-force oracle."""
+
+    max_crossings: int = 8   # iterative-deepening ceiling
+    max_edges: int = 18
+    max_vertices: int = 9
+
+    def __post_init__(self):
+        if self.max_crossings < 0 or self.max_edges <= 0 or self.max_vertices <= 0:
+            raise ValueError("oracle ceilings must be positive")
 
 
 def is_planar(g: Graph) -> bool:
@@ -68,7 +80,8 @@ def _order_assignments(pair_set):
 
 
 def _planarization_nx(g: Graph, pair_set, orders):
-    """Planarization as a networkx graph: dummy node i per crossing pair."""
+    """The configuration as a networkx graph: each edge becomes a path
+    through a dummy node ("x", i) for each crossing pair i on it."""
     ng = nx.Graph()
     ng.add_nodes_from(g.vertices)
     for e in g.edges:
@@ -108,7 +121,6 @@ def oracle_cr(g: Graph, cfg: OracleConfig | None = None) -> int:
     cfg = cfg or OracleConfig()
     if len(g.edges) > cfg.max_edges or len(g.vertices) > cfg.max_vertices:
         raise OracleCeilingExceeded("graph outside oracle size limits")
-    deadline = time.monotonic() + cfg.time_cap_s if cfg.time_cap_s else None
     if is_planar(g):
         return 0
     pairs = _nonadjacent_pairs(g)
@@ -120,8 +132,6 @@ def oracle_cr(g: Graph, cfg: OracleConfig | None = None) -> int:
                 continue
             rest = pairs[index[first] + 1 :]
             for tail in itertools.combinations(rest, c - 1):
-                if deadline and time.monotonic() > deadline:
-                    raise OracleCeilingExceeded("oracle time cap hit")
                 pair_set = (first,) + tail
                 for orders in _order_assignments(pair_set):
                     ng = _planarization_nx(g, pair_set, orders)
@@ -467,7 +477,7 @@ def _config_drawing(g, pair_set, chains, rot):
                     )
                     out.append(e[1] if e[0] == v else e[0])
         rots[v] = tuple(out)
-    return CombinatorialDrawing.make(g, seqs, rots, None, orients)
+    return CombinatorialDrawing.make(g, seqs, rots, orients)
 
 
 def oracle_drawings(g: Graph, max_cr: int, equal_rotations=()):

@@ -33,7 +33,7 @@ from .enumeration import (
 from .geometry import convex_position_drawing
 from .graphs import CompressedGraph, Graph, expand
 from .iqp import ClusteringMismatch, IqpInstance, build_iqp, solve_iqp
-from .oraclecfg import OracleConfig
+from .oracle import OracleConfig, oracle_cr
 
 
 class ResourceCapExceeded(Exception):
@@ -45,12 +45,19 @@ class ResourceCapExceeded(Exception):
 # stacked copy or add_vertex call.  K_{3,998} (249 503) is within it.
 DRAWING_CAP = 250_000
 
+# Largest cover size a solve accepts.  A solve spends about 0.1 ms per
+# cover vertex even when nothing else is there; beyond this it would run
+# for seconds to minutes, and far beyond, run out of memory.
+COVER_CAP = 10_000
+
+# Most representative sets a solve lists.
+REP_SET_CAP = 100_000
+
 
 @dataclass(frozen=True)
 class PipelineOptions:
     iqp_cap: int = 200_000
     clustering_cap: int = 2_000_000
-    rep_set_cap: int = 100_000
     want_drawing: bool = False
 
 
@@ -71,7 +78,6 @@ class SolveReport:
     value: int
     components: list
     isolated: int
-    options: PipelineOptions
     lifted: CombinatorialDrawing | None = None
 
     def to_json(self) -> str:
@@ -125,7 +131,8 @@ def chord_clustering(cg: CompressedGraph) -> AbstractClustering:
 
 
 def initial_budget(cg: CompressedGraph) -> int:
-    """Unweighted crossing count of the canonical chord clustering."""
+    """Crossing count of the canonical chord clustering."""
+    _check_cover(cg)
     if cg.k == 0 or (not cg.gx_edges and not any(m for m, _ in cg.h)):
         return 0
     return len(chord_clustering(cg).drawing.crossing_pairs)
@@ -231,10 +238,17 @@ def clustering_stream(cg: CompressedGraph, rep_sets, budget, cap: int):
             yield i, clustering_from_emb(rs, host, emb)
 
 
+def _check_cover(cg: CompressedGraph):
+    if cg.k > COVER_CAP:
+        raise ResourceCapExceeded(
+            f"cover cap exceeded: cover size {cg.k} is above {COVER_CAP}")
+
+
 def enumerate_clusterings(cg: CompressedGraph, budget: int,
                           opts: PipelineOptions = PipelineOptions()):
     """The clustering stream at a fixed crossing budget, in solve order."""
-    rep_sets = ordered_rep_sets(cg, opts.rep_set_cap)
+    _check_cover(cg)
+    rep_sets = ordered_rep_sets(cg, REP_SET_CAP)
     stream = clustering_stream(cg, rep_sets, lambda i: budget, opts.clustering_cap)
     return (c for _, c in stream)
 
@@ -250,7 +264,7 @@ def _solve_component(cg: CompressedGraph, opts: PipelineOptions) -> tuple:
         "weights": sol0.z,
         "instance": inst0,
     }
-    rep_sets = ordered_rep_sets(cg, opts.rep_set_cap)
+    rep_sets = ordered_rep_sets(cg, REP_SET_CAP)
     counts = [0] * len(rep_sets)
     cl_mins = [_cl_min(rs, cg) for rs in rep_sets]
     # distinct clusterings often give equal instances; solve each once
@@ -280,7 +294,10 @@ def _solve_component(cg: CompressedGraph, opts: PipelineOptions) -> tuple:
 
 
 def crossing_number(cg: CompressedGraph, opts: PipelineOptions | None = None) -> SolveReport:
-    """Exact crossing number of the compressed input graph."""
+    """Exact crossing number of the compressed input graph.  Raises
+    ResourceCapExceeded, before building anything, when the cover has more
+    than COVER_CAP vertices."""
+    _check_cover(cg)
     opts = opts or PipelineOptions()
     comps, isolated = _component_split(cg)
     results = []
@@ -300,7 +317,7 @@ def crossing_number(cg: CompressedGraph, opts: PipelineOptions | None = None) ->
                 per_set,
             )
         )
-    report = SolveReport(total, results, isolated, opts)
+    report = SolveReport(total, results, isolated)
     if opts.want_drawing:
         report.lifted = assemble_lifted(cg, report)
     return report
@@ -493,8 +510,6 @@ def verify(report: SolveReport, cg: CompressedGraph,
         if len(g.edges) > gate.max_edges:
             g = None
     if g is not None:
-        from .oracle import oracle_cr
-
         ocr = oracle_cr(g, gate)
         if ocr != report.value:
             return VerifyResult(

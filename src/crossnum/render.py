@@ -64,7 +64,7 @@ def render_svg(d: CombinatorialDrawing, path=None, size=420) -> str:
     rep = validate_good(d)
     if not rep.ok:
         raise UnrealizableDrawing(rep.violation)
-    emb = d.with_orientations().emb()
+    emb = d.emb()
     pos = _layout(emb)
 
     def sx(p):

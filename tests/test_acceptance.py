@@ -24,8 +24,7 @@ from crossnum.graphs import (
     find_vertex_cover,
 )
 from crossnum.iqp import build_iqp, objective, true_value
-from crossnum.oracle import oracle_cr, oracle_drawings
-from crossnum.oraclecfg import OracleConfig
+from crossnum.oracle import OracleConfig, oracle_cr, oracle_drawings
 from crossnum.pipeline import (
     PipelineOptions,
     crossing_number,

@@ -106,7 +106,7 @@ def test_outputs_and_determinism(tmp_path):
         sp = tmp_path / f"out_{tag}.svg"
         code, out, _ = run_cli(
             [src, "--out-report", str(rp), "--out-drawing", str(dp),
-             "--out-svg", str(sp), "--seed-free"]
+             "--out-svg", str(sp)]
         )
         assert code == EXIT_OK
         arts.append((rp.read_bytes(), dp.read_bytes(), sp.read_bytes()))
@@ -204,6 +204,52 @@ def test_huge_drawing_fails_closed(tmp_path, text, size, mode):
     assert err.startswith("error: drawing cap exceeded: ")
     assert f"would have {size} (cap " in err
     assert not drawing.exists()
+
+
+# compressed inputs whose cover size is negative or far above
+# pipeline.COVER_CAP: each must end in a typed exit before anything is
+# allocated per cover vertex, not in a value, a MemoryError or a long run
+COVER_SIZE_INPUTS = (
+    ("-1\n", EXIT_PARSE, "error: negative cover size -1\n"),
+    ("-1\nh 1 1\n", EXIT_PARSE, "error: negative cover size -1\n"),
+    ("1000000000000\n", EXIT_CAP, "error: cover cap exceeded: "),
+    ("1000000000000\nh 3 5\n", EXIT_CAP, "error: cover cap exceeded: "),
+    ("200000\n", EXIT_CAP, "error: cover cap exceeded: "),
+)
+
+
+@pytest.mark.parametrize("mode", ["solve", "verify", "dump-clusterings"])
+@pytest.mark.parametrize("text, code, err_start", COVER_SIZE_INPUTS)
+def test_cover_size_fails_closed(tmp_path, text, code, err_start, mode):
+    p = tmp_path / "cover.txt"
+    p.write_text(text)
+    got, out, err = run_cli(
+        [str(p), "--format", "compressed", "--mode", mode], limit_memory=True
+    )
+    assert got == code, err
+    assert out == ""
+    assert err.startswith(err_start)
+
+
+def test_oracle_mode_fails_closed(tmp_path):
+    # the size gate runs before the graph is expanded
+    p = tmp_path / "huge.txt"
+    p.write_text("3\nh 7 1000000000\n")
+    code, out, err = run_cli(
+        [str(p), "--format", "compressed", "--mode", "oracle"],
+        limit_memory=True,
+    )
+    assert code == EXIT_CAP, err
+    assert out == ""
+    assert err == ("error: graph outside oracle size limits: "
+                   "1000000003 vertices (limit 9)\n")
+    # K_{3,7} has one vertex too many; K_3 joined to K_{3,6} has nine
+    # vertices but 21 edges, three over the edge limit
+    for text in ("3\nh 7 7\n", "3\ngx 0 1\ngx 0 2\ngx 1 2\nh 7 6\n"):
+        p.write_text(text)
+        code, out, _ = run_cli([str(p), "--format", "compressed",
+                                "--mode", "oracle"])
+        assert code == EXIT_CAP and out == ""
 
 
 @pytest.mark.parametrize("mode", ["solve", "verify", "dump-clusterings"])

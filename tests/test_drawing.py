@@ -6,7 +6,6 @@ import pytest
 from crossnum.drawing import (
     CombinatorialDrawing,
     WeightedClustering,
-    canonical_key,
     cl_value,
     cluster_crossings,
     clusters,
@@ -15,7 +14,6 @@ from crossnum.drawing import (
     drawing_to_text,
     equivalent,
     noncluster_count,
-    planarize,
     structural_key,
     validate_good,
     zee,
@@ -23,6 +21,8 @@ from crossnum.drawing import (
 from crossnum.geometry import drawing_from_points
 from crossnum.graphs import Graph, complete_bipartite, complete_graph
 from crossnum.oracle import oracle_drawings
+
+from drawing_reference import canonical_key
 
 F = Fraction
 
@@ -56,18 +56,14 @@ def test_validate_planar_k4():
 
 def test_validate_adjacent_crossing():
     g = Graph((0, 1, 2), ((0, 1), (0, 2)))
-    d = CombinatorialDrawing.make(
-        g, {(0, 1): (0,), (0, 2): (0,)}, {}, None, None
-    )
+    d = CombinatorialDrawing.make(g, {(0, 1): (0,), (0, 2): (0,)}, {})
     rep = validate_good(d)
     assert not rep.ok and rep.violation == "adjacent crossing"
 
 
 def test_validate_double_crossing():
     g = Graph((0, 1, 2, 3), ((0, 1), (2, 3)))
-    d = CombinatorialDrawing.make(
-        g, {(0, 1): (0, 1), (2, 3): (0, 1)}, {}, None, None
-    )
+    d = CombinatorialDrawing.make(g, {(0, 1): (0, 1), (2, 3): (0, 1)}, {})
     rep = validate_good(d)
     assert not rep.ok and rep.violation == "double crossing"
 
@@ -125,37 +121,16 @@ def test_validate_unrealizable():
     )
     rots = d.rot_map
     rots[3] = tuple(reversed(rots[3]))
-    bad = CombinatorialDrawing.make(d.graph, d.seq_map, rots, None, None)
+    bad = CombinatorialDrawing.make(d.graph, d.seq_map, rots)
     rep = validate_good(bad)
     assert not rep.ok and "unrealizable" in rep.violation
 
 
-def test_crossing_count_weighted():
-    g = Graph((0, 1, 2, 3), ((0, 1), (2, 3)))
-    d = drawing_from_points(
-        g, {0: (0, 0), 1: (2, 2), 2: (0, 2), 3: (2, 0)},
-        weights={(0, 1): 3, (2, 3): 2},
-    )
-    assert crossing_count(d) == 6
-    unweighted = drawing_from_points(
-        g, {0: (0, 0), 1: (2, 2), 2: (0, 2), 3: (2, 0)}
-    )
-    assert crossing_count(unweighted) == 1
-
-
-def test_crossing_count_mixed():
-    # two unit crossings plus one 4x5 crossing -> 22
-    g = Graph(
-        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
-        ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)),
-    )
-    pos = {
-        0: (0, 0), 1: (2, 2), 2: (0, 2), 3: (2, 0),
-        4: (10, 0), 5: (12, 2), 6: (10, 2), 7: (12, 0),
-        8: (20, 0), 9: (22, 2), 10: (20, 2), 11: (22, 0),
-    }
-    d = drawing_from_points(g, pos, weights={(8, 9): 4, (10, 11): 5})
-    assert crossing_count(d) == 1 + 1 + 20
+def planarization_counts(d):
+    """(nodes, segments, faces on the sphere) of the drawing's embedding."""
+    emb = d.emb()
+    faces = len(emb.faces()) - (len(emb.components()) - 1)
+    return len(emb.rot), len(emb.segs), faces
 
 
 def test_planarize_crossing_free_identity():
@@ -163,24 +138,22 @@ def test_planarize_crossing_free_identity():
         Graph((0, 1, 2), ((0, 1), (1, 2), (0, 2))),
         {0: (0, 0), 1: (4, 0), 2: (2, 3)},
     )
-    p = planarize(d)
-    assert p.vertex_count == 3 and p.edge_count == 3 and p.face_count == 2
-    assert p.euler_holds()
+    assert planarization_counts(d) == (3, 3, 2)
+    assert d.emb().euler_ok()
 
 
 def test_planarize_one_crossing_k5():
-    p = planarize(one_crossing_k5())
-    assert (p.vertex_count, p.edge_count, p.face_count) == (6, 12, 8)
-    assert p.euler_holds()
+    d = one_crossing_k5()
+    assert planarization_counts(d) == (6, 12, 8)
+    assert d.emb().euler_ok()
 
 
 def test_planarize_bowtie():
     g = Graph((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3), (0, 3)))
     d = drawing_from_points(g, {0: (0, 0), 1: (4, 0), 2: (0, 2), 3: (4, 2)})
-    p = planarize(d)
-    assert (p.vertex_count, p.edge_count, p.face_count) == (5, 6, 3)
-    assert p.components == 1
-    assert p.euler_holds()
+    assert planarization_counts(d) == (5, 6, 3)
+    assert len(d.emb().components()) == 1
+    assert d.emb().euler_ok()
 
 
 def test_equivalent_reflexive_and_rotation_sensitive():
@@ -346,6 +319,20 @@ def test_k2m_equal_rotation_bound_small():
         assert min(crossing_count(d) for d in ds) == zee(m)
 
 
+def _renamed_crossings(d):
+    """The same drawing with every crossing id shifted by 100."""
+    seqs = {e: tuple(c + 100 for c in seq) for e, seq in d.sequences}
+    bits = {c + 100: b for c, b in d.orientations}
+    return CombinatorialDrawing.make(d.graph, seqs, d.rot_map, bits)
+
+
+def _mirror(d):
+    """The mirror image: every rotation reversed and every bit flipped."""
+    rots = {v: tuple(reversed(ring)) for v, ring in d.rotations}
+    bits = {c: 1 - b for c, b in d.orientations}
+    return CombinatorialDrawing.make(d.graph, d.seq_map, rots, bits)
+
+
 def test_equivalence_relation_spot_checks():
     ds = oracle_drawings(complete_bipartite(2, 3), 1)
     keys = [canonical_key(d) for d in ds]
@@ -355,6 +342,26 @@ def test_equivalence_relation_spot_checks():
             same = keys[i] == keys[j]
             assert equivalent(ds[i], ds[j]) == same
             assert (structural_key(ds[i]) == structural_key(ds[j])) == same
+    # both keys split each drawing list, plus its mirror images and its
+    # copies under other crossing ids, into the same classes.  A crossing
+    # of two disjoint edges and its mirror differ only in their bit.
+    two_edges = Graph((0, 1, 2, 3), ((0, 1), (2, 3)))
+    for g, cap in ((complete_bipartite(3, 3), 2), (complete_graph(5), 1),
+                   (two_edges, 1)):
+        ds = oracle_drawings(g, cap)
+        n = len(ds)
+        ds += [_renamed_crossings(d) for d in ds] + [_mirror(d) for d in ds]
+        skeys = [structural_key(d) for d in ds]
+        ckeys = [canonical_key(d) for d in ds]
+        classes = set(zip(skeys, ckeys))
+        assert len(set(skeys)) == len(set(ckeys)) == len(classes) >= n
+    # a crossing missing from the bits is a crossing with bit 0
+    d = one_crossing_k5()
+    bare = CombinatorialDrawing.make(d.graph, d.seq_map, d.rot_map)
+    zeros = CombinatorialDrawing.make(
+        d.graph, d.seq_map, d.rot_map, {c: 0 for c in d.crossing_pairs})
+    assert d.crossing_pairs and bare == zeros
+    assert equivalent(bare, zeros)
 
 
 def test_crossing_count_equals_id_count_unweighted():

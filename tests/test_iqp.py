@@ -24,8 +24,7 @@ from iqp_reference import feasible_points
 
 
 def make_instance(groups, q, p, r=0):
-    diag = tuple(q[i][i] for i in range(len(p)))
-    return IqpInstance(tuple(groups), tuple(map(tuple, q)), tuple(p), r, diag)
+    return IqpInstance(tuple(groups), tuple(map(tuple, q)), tuple(p), r)
 
 
 def k33_clustering():

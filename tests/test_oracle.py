@@ -1,15 +1,17 @@
 import pytest
 
-from crossnum.drawing import canonical_key, crossing_count, validate_good
+from crossnum.drawing import crossing_count, validate_good
 from crossnum.graphs import Graph, complete_bipartite, complete_graph
 from crossnum.oracle import (
     OracleCeilingExceeded,
+    OracleConfig,
     is_planar,
     oracle_cr,
     oracle_drawings,
 )
-from crossnum.oraclecfg import OracleConfig
 from crossnum.smallgraphs import connected_graphs
+
+from drawing_reference import canonical_key
 
 
 def test_oracle_cr_named():

@@ -23,7 +23,7 @@ from crossnum.graphs import (
     parse_compressed,
 )
 from crossnum.iqp import build_iqp, true_value
-from crossnum.oraclecfg import OracleConfig
+from crossnum.oracle import OracleConfig
 from crossnum.pipeline import (
     PipelineOptions,
     ResourceCapExceeded,
@@ -295,6 +295,19 @@ def test_drawing_cap(monkeypatch):
     monkeypatch.undo()
     # the default lifts K_{3,250}, the largest drawing the tests lift
     assert pipeline.DRAWING_CAP >= 125 * 124 + 253
+
+
+def test_cover_cap(monkeypatch):
+    import crossnum.pipeline as pipeline
+
+    cg = CompressedGraph.make(3, (), {7: 3})
+    monkeypatch.setattr(pipeline, "COVER_CAP", 3)
+    assert crossing_number(cg).value == 1
+    monkeypatch.setattr(pipeline, "COVER_CAP", 2)
+    for run in (lambda: crossing_number(cg),
+                lambda: enumerate_clusterings(cg, 1)):
+        with pytest.raises(ResourceCapExceeded, match="cover cap"):
+            run()
 
 
 def test_monotone_under_edge_deletion():
