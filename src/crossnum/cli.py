@@ -24,6 +24,7 @@ from .oracle import OracleCeilingExceeded, OracleConfig, oracle_cr
 from .pipeline import (
     PipelineOptions,
     ResourceCapExceeded,
+    component_split,
     crossing_number,
     enumerate_clusterings,
     initial_budget,
@@ -35,6 +36,14 @@ EXIT_ERROR = 1
 EXIT_PARSE = 2
 EXIT_COVER = 3
 EXIT_CAP = 4
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type of the count options: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
 
 
 def build_parser():
@@ -54,13 +63,13 @@ def build_parser():
         choices=("solve", "oracle", "verify", "dump-clusterings"),
         default="solve",
     )
-    p.add_argument("--k-max", type=int, default=8,
+    p.add_argument("--k-max", type=non_negative_int, default=8,
                    help="largest vertex cover to search for")
-    p.add_argument("--budget-cap", type=int, default=2_000_000,
-                   help="cap on enumerated clusterings")
-    p.add_argument("--iqp-cap", type=int, default=200_000,
+    p.add_argument("--budget-cap", type=non_negative_int, default=2_000_000,
+                   help="cap on clusterings enumerated per component")
+    p.add_argument("--iqp-cap", type=non_negative_int, default=200_000,
                    help="node cap per IQP solve")
-    p.add_argument("--oracle-crossings", type=int, default=8,
+    p.add_argument("--oracle-crossings", type=non_negative_int, default=8,
                    help="iterative deepening ceiling for the oracle")
     p.add_argument("--out-report", help="write the solve report (JSON)")
     p.add_argument("--out-drawing", help="write the lifted drawing (text)")
@@ -162,18 +171,26 @@ def _run_verify(cg, opts, args) -> int:
 
 
 def _run_dump(cg, opts) -> int:
-    stream = enumerate_clusterings(cg, initial_budget(cg), opts)
-    for count, c in enumerate(stream, 1):
-        print(f"clustering {count} r={c.r}")
-        print(
-            "reps "
-            + " ".join(
-                f"{s.vertex}:{s.mask}:{','.join(map(str, s.tag))}"
-                for s in c.reps
+    # every stream lists its representative sets before the first line is
+    # printed, so their cap fails the dump with no output
+    comps, _ = component_split(cg)
+    streams = [
+        (cover, enumerate_clusterings(sub, initial_budget(sub), opts))
+        for cover, sub in comps
+    ]
+    for cover, stream in streams:
+        print("component " + " ".join(map(str, cover)))
+        for count, c in enumerate(stream, 1):
+            print(f"clustering {count} r={c.r}")
+            print(
+                "reps "
+                + " ".join(
+                    f"{s.vertex}:{s.mask}:{','.join(map(str, s.tag))}"
+                    for s in c.reps
+                )
             )
-        )
-        print(drawing_to_text(c.drawing), end="")
-        print("end")
+            print(drawing_to_text(c.drawing), end="")
+            print("end")
     return EXIT_OK
 
 

@@ -217,12 +217,6 @@ class Cluster:
 class ClusterPartition:
     clusters: tuple
 
-    def of(self, v) -> int:
-        for i, cl in enumerate(self.clusters):
-            if v in cl.members:
-                return i
-        raise KeyError(v)
-
 
 def clusters(d: CombinatorialDrawing, cover: frozenset) -> ClusterPartition:
     """Partition non-cover vertices by (neighborhood, clockwise rotation)."""

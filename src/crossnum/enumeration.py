@@ -64,7 +64,7 @@ class RepresentativeSet:
         return {s.vertex: s.tag for s in self.reps}
 
 
-def rep_cap(mask: int, k: int, count: int) -> int:
+def rep_cap(mask: int, count: int) -> int:
     """min(h(Y), #rotations): extra zero-weight representatives never help."""
     return min(count, rotations(bin(mask).count("1")))
 
@@ -78,7 +78,7 @@ def count_rep_sets(cg: CompressedGraph, cap: int) -> int:
             continue
         orders = rotations(bin(m).count("1"))
         choices = 0
-        for size in range(1, rep_cap(m, cg.k, count) + 1):
+        for size in range(1, rep_cap(m, count) + 1):
             choices += comb(orders, size)
             if choices > cap:
                 break
@@ -99,7 +99,7 @@ def enumerate_rep_sets(cg: CompressedGraph):
     per_mask_choices = []
     for m in masks:
         orders = cyclic_orders(mask_members(m, cg.k))
-        cap = rep_cap(m, cg.k, h[m])
+        cap = rep_cap(m, h[m])
         subsets = []
         for size in range(1, cap + 1):
             subsets.extend(itertools.combinations(range(len(orders)), size))
@@ -253,32 +253,19 @@ class _Router:
 
 
 def enumerate_embeddings(graph, fixed_rotations, bound_fn):
-    """All sphere drawings of `graph` with at most `bound_fn()` crossings.
+    """All sphere drawings of the connected `graph` with at most
+    `bound_fn()` crossings.
 
     `fixed_rotations` (or None) pins cyclic neighbor orders at chosen
     vertices; `bound_fn` is re-read at every step, so a caller may tighten
     the budget while the stream runs (branch-and-bound).  Yields Emb objects
-    in deterministic DFS order, each emitted structure distinct.
+    in deterministic DFS order, each emitted structure distinct.  Raises
+    ValueError on a disconnected graph: the pipeline splits its input into
+    connected components before it builds any host.
     """
-    comps = graph.components()
-    if len(comps) <= 1:
-        yield from _Router(graph, fixed_rotations, bound_fn).run()
-        return
-    # disconnected hosts: per-component streams, no inter-component crossings
-    comps = sorted(comps, key=min)
-    streams = []
-    for comp in comps:
-        sub = graph.induced(comp)
-        fixed = {
-            v: t for v, t in (fixed_rotations or {}).items() if v in comp
-        }
-        streams.append(list(_Router(sub, fixed, bound_fn).run()))
-    for combo in itertools.product(*streams):
-        merged = Emb()
-        for emb in combo:
-            merged.merge(emb)
-        if merged.crossing_count() <= bound_fn():
-            yield merged
+    if not graph.is_connected():
+        raise ValueError("router host graph is disconnected")
+    yield from _Router(graph, fixed_rotations, bound_fn).run()
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,6 @@ class PipelineOptions:
 @dataclass
 class ComponentResult:
     cover: tuple  # global cover vertices of this component
-    cg: CompressedGraph
     value: int
     winner: AbstractClustering
     weights: tuple
@@ -133,8 +132,6 @@ def chord_clustering(cg: CompressedGraph) -> AbstractClustering:
 def initial_budget(cg: CompressedGraph) -> int:
     """Crossing count of the canonical chord clustering."""
     _check_cover(cg)
-    if cg.k == 0 or (not cg.gx_edges and not any(m for m, _ in cg.h)):
-        return 0
     return len(chord_clustering(cg).drawing.crossing_pairs)
 
 
@@ -142,8 +139,14 @@ def initial_budget(cg: CompressedGraph) -> int:
 # component decomposition
 
 
-def _component_split(cg: CompressedGraph):
-    """Split the compressed graph along connectivity; isolated count apart."""
+def component_split(cg: CompressedGraph):
+    """Split the compressed graph into its connected components, in order
+    of their least cover vertex.  Returns ([(cover ids, component), ...],
+    isolated), where `isolated` counts the vertices without an edge: those
+    of the empty neighborhood and the cover vertices with no G_X edge and
+    no neighborhood.  Raises ResourceCapExceeded, before building anything,
+    when the cover has more than COVER_CAP vertices."""
+    _check_cover(cg)
     parent = list(range(cg.k))
 
     def find(i):
@@ -152,41 +155,32 @@ def _component_split(cg: CompressedGraph):
             i = parent[i]
         return i
 
-    def union(i, j):
-        parent[find(i)] = find(j)
-
+    touched = set()
     for u, v in cg.gx_edges:
-        union(u, v)
-    isolated = 0
-    for mask, count in cg.h:
-        if mask == 0:
-            isolated += count
-            continue
+        parent[find(u)] = find(v)
+        touched.update((u, v))
+    for mask, _ in cg.h:
         ms = mask_members(mask, cg.k)
         for x in ms[1:]:
-            union(ms[0], x)
-    comps: dict[int, list[int]] = {}
-    for i in range(cg.k):
-        comps.setdefault(find(i), []).append(i)
-    out = []
-    for root in sorted(comps, key=lambda r: min(comps[r])):
-        members = sorted(comps[root])
-        index = {v: i for i, v in enumerate(members)}
-        mset = set(members)
-        gx = [
-            (index[u], index[v])
-            for u, v in cg.gx_edges
-            if u in mset and v in mset
-        ]
-        h = {}
-        for mask, count in cg.h:
-            if mask == 0:
-                continue
-            ms = mask_members(mask, cg.k)
-            if ms[0] in mset:
-                h[sum(1 << index[x] for x in ms)] = count
-        out.append((tuple(members), CompressedGraph.make(len(members), gx, h)))
-    return out, isolated
+            parent[find(x)] = find(ms[0])
+        touched.update(ms)
+    members: dict[int, list[int]] = {}
+    for v in sorted(touched):
+        members.setdefault(find(v), []).append(v)
+    index = {v: i for ms in members.values() for i, v in enumerate(ms)}
+    gx = {root: [] for root in members}
+    h = {root: {} for root in members}
+    for u, v in cg.gx_edges:
+        gx[find(u)].append((index[u], index[v]))
+    for mask, count in cg.h:
+        ms = mask_members(mask, cg.k)
+        if ms:
+            h[find(ms[0])][sum(1 << index[x] for x in ms)] = count
+    comps = [
+        (tuple(ms), CompressedGraph.make(len(ms), gx[root], h[root]))
+        for root, ms in members.items()
+    ]
+    return comps, cg.k - len(index) + cg.h_map.get(0, 0)
 
 
 def _cl_min(rep_set: RepresentativeSet, cg: CompressedGraph) -> int:
@@ -246,32 +240,30 @@ def _check_cover(cg: CompressedGraph):
 
 def enumerate_clusterings(cg: CompressedGraph, budget: int,
                           opts: PipelineOptions = PipelineOptions()):
-    """The clustering stream at a fixed crossing budget, in solve order."""
+    """The clustering stream of a connected graph, such as one of
+    `component_split`'s components, at a fixed crossing budget, in solve
+    order.  The router raises ValueError on a disconnected graph."""
     _check_cover(cg)
     rep_sets = ordered_rep_sets(cg, REP_SET_CAP)
     stream = clustering_stream(cg, rep_sets, lambda i: budget, opts.clustering_cap)
     return (c for _, c in stream)
 
 
-def _solve_component(cg: CompressedGraph, opts: PipelineOptions) -> tuple:
-    chord = chord_clustering(cg)
-    inst0 = build_iqp(chord, cg)
-    sol0 = solve_iqp(inst0, opts.iqp_cap)
-    best = {
-        "value": sol0.value,
-        "key": structural_key(chord.drawing),
-        "clustering": chord,
-        "weights": sol0.z,
-        "instance": inst0,
-    }
+def _solve_component(cover: tuple, cg: CompressedGraph,
+                     opts: PipelineOptions) -> ComponentResult:
+    """Solve one connected component, whose cover vertex i is cover[i]."""
+    winner = chord_clustering(cg)
+    instance = build_iqp(winner, cg)
+    sol0 = solve_iqp(instance, opts.iqp_cap)
+    value, weights, key = sol0.value, sol0.z, structural_key(winner.drawing)
     rep_sets = ordered_rep_sets(cg, REP_SET_CAP)
     counts = [0] * len(rep_sets)
     cl_mins = [_cl_min(rs, cg) for rs in rep_sets]
     # distinct clusterings often give equal instances; solve each once
-    solved = {inst0: sol0}
+    solved = {instance: sol0}
 
     def budget(i):
-        return best["value"] - 1 - cl_mins[i]
+        return value - 1 - cl_mins[i]
 
     for i, c in clustering_stream(cg, rep_sets, budget, opts.clustering_cap):
         counts[i] += 1
@@ -279,45 +271,24 @@ def _solve_component(cg: CompressedGraph, opts: PipelineOptions) -> tuple:
         sol = solved.get(inst)
         if sol is None:
             sol = solved[inst] = solve_iqp(inst, opts.iqp_cap)
-        if sol.value > best["value"]:
+        if sol.value > value:
             continue
-        key = structural_key(c.drawing)
-        if sol.value < best["value"] or repr(key) < repr(best["key"]):
-            best.update(
-                value=sol.value,
-                key=key,
-                clustering=c,
-                weights=sol.z,
-                instance=inst,
-            )
-    return best, sum(counts), tuple(counts)
+        c_key = structural_key(c.drawing)
+        if sol.value < value or repr(c_key) < repr(key):
+            value, weights, key = sol.value, sol.z, c_key
+            winner, instance = c, inst
+    return ComponentResult(cover, value, winner, weights, instance,
+                           sum(counts), tuple(counts))
 
 
 def crossing_number(cg: CompressedGraph, opts: PipelineOptions | None = None) -> SolveReport:
-    """Exact crossing number of the compressed input graph.  Raises
-    ResourceCapExceeded, before building anything, when the cover has more
-    than COVER_CAP vertices."""
-    _check_cover(cg)
+    """Exact crossing number of the compressed input graph: the sum over
+    its components.  Raises ResourceCapExceeded, before building anything,
+    when the cover has more than COVER_CAP vertices."""
     opts = opts or PipelineOptions()
-    comps, isolated = _component_split(cg)
-    results = []
-    total = 0
-    for cover, sub in comps:
-        best, seen, per_set = _solve_component(sub, opts)
-        total += best["value"]
-        results.append(
-            ComponentResult(
-                cover,
-                sub,
-                best["value"],
-                best["clustering"],
-                best["weights"],
-                best["instance"],
-                seen,
-                per_set,
-            )
-        )
-    report = SolveReport(total, results, isolated)
+    comps, isolated = component_split(cg)
+    results = [_solve_component(cover, sub, opts) for cover, sub in comps]
+    report = SolveReport(sum(r.value for r in results), results, isolated)
     if opts.want_drawing:
         report.lifted = assemble_lifted(cg, report)
     return report
@@ -363,13 +334,7 @@ def duplicate_star(emb: Emb, v: int, v_new: int):
             # cross each earlier-left edge's innermost segment from above:
             # the crossed dart points away from v (its face is the corner
             # sector the copy's edge occupies)
-            for p0 in range(q - 1):
-                e_p = edges[p0]
-                chain = emb.chains[e_p]
-                if e_p[1] == v:
-                    steps_out.append((chain[-1], 1))
-                else:
-                    steps_out.append((chain[0], 0))
+            steps_out.extend(_away_dart(emb, e_p, v) for e_p in edges[:q - 1])
         else:
             # cross the farther-right edges just beyond their earlier hub
             # dummies, via the dart pointing back toward v
@@ -456,9 +421,11 @@ def lift(c: AbstractClustering, z) -> CombinatorialDrawing:
 
 def assemble_lifted(cg: CompressedGraph, report: SolveReport) -> CombinatorialDrawing:
     """Lift every component winner and lay the pieces side by side, with
-    the isolated vertices reattached as their own trivial components.
-    Raises ResourceCapExceeded, before building anything, when the drawing
-    would have more than DRAWING_CAP crossings and vertices together."""
+    the vertices without an edge added on their own: the cover keeps ids
+    0..k-1, each component's copies follow in component order, and the
+    empty neighborhood's vertices come last.  Raises ResourceCapExceeded,
+    before building anything, when the drawing would have more than
+    DRAWING_CAP crossings and vertices together."""
     n = cg.total_vertices()
     if report.value + n > DRAWING_CAP:
         raise ResourceCapExceeded(
@@ -466,14 +433,14 @@ def assemble_lifted(cg: CompressedGraph, report: SolveReport) -> CombinatorialDr
             f"{report.value} crossings and {n} vertices "
             f"(cap {DRAWING_CAP} in all)"
         )
-    comps, isolated = _component_split(cg)
     merged = Emb()
-    # global ids: cover 0..k-1, then copies per component, isolated last
+    for v in range(cg.k):
+        merged.add_vertex(v)
     nxt = cg.k
-    for (cover, _), res in zip(comps, report.components):
-        emb, nxt = _lift_emb(res.winner, res.weights, cover, nxt)
+    for res in report.components:
+        emb, nxt = _lift_emb(res.winner, res.weights, res.cover, nxt)
         merged.merge(emb)
-    for u in range(nxt, nxt + isolated):
+    for u in range(nxt, nxt + cg.h_map.get(0, 0)):
         merged.add_vertex(u)
     vertices = tuple(sorted(n[1] for n in merged.rot if n[0] == "v"))
     return merged.to_drawing(Graph(vertices, tuple(sorted(merged.chains))))

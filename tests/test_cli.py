@@ -297,3 +297,55 @@ def test_failed_internal_check_is_an_error_exit(tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: check failed\n"
+
+
+@pytest.mark.parametrize(
+    "option", ["--k-max", "--budget-cap", "--iqp-cap", "--oracle-crossings"]
+)
+def test_negative_count_option_is_a_parse_error(tmp_path, option):
+    code, out, err = run_cli([write_k33(tmp_path), "--mode", "verify",
+                              option, "-1"])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert f"argument {option}: -1 is negative" in err
+
+
+def test_budget_cap_counts_per_component(tmp_path):
+    # two copies of one component: a cover edge 0-1, one vertex on
+    # {0, 1} and two on {0, 1, 2}; a solve sees 8 clusterings in each,
+    # 16 in all
+    p = tmp_path / "pair.txt"
+    p.write_text("6\ngx 0 1\ngx 3 4\nh 3 1\nh 7 2\nh 24 1\nh 56 2\n")
+    code, out, _ = run_cli([str(p), "--format", "compressed",
+                            "--budget-cap", "8"])
+    assert code == EXIT_OK and out == "0\n"
+    code, out, err = run_cli([str(p), "--format", "compressed",
+                              "--budget-cap", "7"])
+    assert code == EXIT_CAP and out == ""
+    assert "more than 7 clusterings" in err
+
+
+def test_dump_walks_the_solvers_components(tmp_path):
+    from crossnum.drawing import drawing_to_text
+    from crossnum.graphs import parse_compressed
+
+    # two K_{2,2} components: one block each, at its own chord budget
+    text = "4\nh 3 2\nh 12 2\n"
+    p = tmp_path / "two.txt"
+    p.write_text(text)
+    code, out, _ = run_cli([str(p), "--format", "compressed",
+                            "--mode", "dump-clusterings"])
+    assert code == EXIT_OK
+    want = []
+    comps, _ = pipeline.component_split(parse_compressed(text))
+    assert [cover for cover, _ in comps] == [(0, 1), (2, 3)]
+    for cover, sub in comps:
+        want.append("component " + " ".join(map(str, cover)) + "\n")
+        stream = pipeline.enumerate_clusterings(
+            sub, pipeline.initial_budget(sub))
+        for count, c in enumerate(stream, 1):
+            reps = " ".join(f"{s.vertex}:{s.mask}:{','.join(map(str, s.tag))}"
+                            for s in c.reps)
+            want.append(f"clustering {count} r={c.r}\nreps {reps}\n"
+                        f"{drawing_to_text(c.drawing)}end\n")
+    assert out == "".join(want)

@@ -201,3 +201,13 @@ def test_completeness_against_oracle_drawings():
             for i, (_, _, rep) in enumerate(reps):
                 mapping[rep] = len(cover) + i
             assert structural_key(d.relabel(mapping)) in emitted
+
+
+def test_router_rejects_disconnected_hosts():
+    import pytest
+
+    from crossnum.graphs import Graph
+
+    two_paths = Graph.from_edges([(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="disconnected"):
+        next(enumerate_embeddings(two_paths, None, lambda: 0))

@@ -29,6 +29,7 @@ from crossnum.pipeline import (
     ResourceCapExceeded,
     assemble_lifted,
     chord_clustering,
+    component_split,
     crossing_number,
     enumerate_clusterings,
     initial_budget,
@@ -374,3 +375,41 @@ def test_random_eight_vertex_graphs_match_oracle():
             continue
         assert crossing_number(compress(g, cover)).value == oracle_cr(g, gate)
         checked += 1
+
+
+def test_edgeless_cover_vertices_are_isolated():
+    # cover vertices 3 and 4 have no edge: they are counted as isolated
+    # and keep their ids in the lifted drawing, next to K_{3,5}
+    cg = parse_compressed("5\nh 7 5\n")
+    rep = crossing_number(cg)
+    assert rep.value == 4 and rep.isolated == 2
+    assert [c.cover for c in rep.components] == [(0, 1, 2)]
+    got = drawing_to_text(assemble_lifted(cg, rep))
+    assert got == (GOLDEN / "lifted_k35_edgeless.txt").read_text()
+
+
+def test_edgeless_cover_is_not_solved(monkeypatch):
+    import crossnum.pipeline as pipeline
+
+    calls = []
+    real = pipeline.chord_clustering
+
+    def counting(cg):
+        calls.append(cg)
+        return real(cg)
+
+    monkeypatch.setattr(pipeline, "chord_clustering", counting)
+    rep = crossing_number(CompressedGraph.make(10_000, (), {}))
+    assert rep.value == 0 and rep.components == [] and rep.isolated == 10_000
+    assert calls == []
+
+
+def test_component_split_renumbers_each_component():
+    cg = parse_compressed("7\ngx 1 4\ngx 2 6\nh 5 2\nh 64 1\nh 0 3\n")
+    comps, isolated = component_split(cg)
+    # 0-2 by h 5 and 2-6 by G_X, 1-4 by G_X; 3 and 5 have no edge
+    assert comps == [
+        ((0, 2, 6), CompressedGraph.make(3, ((1, 2),), {3: 2, 4: 1})),
+        ((1, 4), CompressedGraph.make(2, ((0, 1),), {})),
+    ]
+    assert isolated == 3 + 2
