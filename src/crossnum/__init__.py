@@ -15,7 +15,7 @@ from .graphs import (
     expand,
     find_vertex_cover,
 )
-from .oracle import OracleConfig, oracle_cr, oracle_drawings
+from .oracle import OracleConfig, oracle_cr
 from .pipeline import PipelineOptions, crossing_number, initial_budget, lift, verify
 
 __version__ = "0.1.0"
@@ -36,7 +36,6 @@ __all__ = [
     "initial_budget",
     "lift",
     "oracle_cr",
-    "oracle_drawings",
     "validate_good",
     "verify",
     "zee",

@@ -34,14 +34,10 @@ class Emb:
     # -- dart algebra ---------------------------------------------------
 
     def tail(self, dart):
-        seg, end = dart
-        rec = self.segs[seg]
-        return rec[0] if end == 0 else rec[1]
+        return self.segs[dart[0]][dart[1]]
 
     def head(self, dart):
-        seg, end = dart
-        rec = self.segs[seg]
-        return rec[1] if end == 0 else rec[0]
+        return self.segs[dart[0]][1 - dart[1]]
 
     def edge_of(self, dart):
         return self.segs[dart[0]][2]
@@ -84,21 +80,14 @@ class Emb:
             yield (sid, 1)
 
     def faces(self):
-        """All face cycles (tuples of darts) in deterministic order."""
+        """All face cycles (tuples of darts), each traced from its least
+        dart, in the order of those darts."""
         seen = set()
         out = []
-        for d0 in self.all_darts():
-            if d0 in seen:
-                continue
-            cycle = []
-            d = d0
-            while True:
-                cycle.append(d)
-                seen.add(d)
-                d = self.succ(d)
-                if d == d0:
-                    break
-            out.append(tuple(cycle))
+        for d in self.all_darts():
+            if d not in seen:
+                out.append(self.face_at(d))
+                seen.update(out[-1])
         return out
 
     def face_at(self, dart):
@@ -135,27 +124,15 @@ class Emb:
         return comps
 
     def euler_ok(self) -> bool:
-        """True iff the rotation system is a sphere embedding per component."""
-        comps = self.components()
-        node_comp = {}
-        for i, comp in enumerate(comps):
-            for n in comp:
-                node_comp[n] = i
-        v = [0] * len(comps)
-        e = [0] * len(comps)
-        f = [0] * len(comps)
-        for n in node_comp:
-            v[node_comp[n]] += 1
-        for a, _, _ in self.segs.values():
-            e[node_comp[a]] += 1
-        for cyc in self.faces():
-            f[node_comp[self.tail(cyc[0])]] += 1
-        for i in range(len(comps)):
-            if e[i] == 0:
-                continue  # an isolated node fills its own sphere
-            if v[i] - e[i] + f[i] != 2:
-                return False
-        return True
+        """True iff the rotation system is a sphere embedding per component.
+
+        A component with an edge has V - E + F = 2 - 2g with genus g >= 0,
+        so the sum over those components is 2 per component only when every
+        genus is 0.  An isolated node fills its own sphere."""
+        isolated = sum(1 for ring in self.rot.values() if not ring)
+        comps = len(self.components()) - isolated
+        euler = len(self.rot) - isolated - len(self.segs) + len(self.faces())
+        return euler == 2 * comps
 
     # -- surgery ----------------------------------------------------------
 

@@ -10,21 +10,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial
 
-from .drawing import CombinatorialDrawing, canonical_cycle
+from .drawing import CombinatorialDrawing
 from .embedding import Emb, vnode
 from .graphs import CompressedGraph, Graph
 
 
 def rotations(j: int) -> int:
     """Distinct cyclic orders of j labeled elements."""
-    if j <= 2:
-        return 1
-    out = 1
-    for i in range(2, j):
-        out *= i
-    return out
+    return factorial(max(j - 1, 0))
 
 
 def cyclic_orders(members: tuple) -> list[tuple]:
@@ -162,9 +157,16 @@ class _Router:
 
     def __init__(self, graph, fixed_rotations, bound_fn):
         self.graph = graph
-        self.fixed = fixed_rotations or {}
         self.bound_fn = bound_fn
         self.order = _connected_edge_order(graph)
+        # Drawing an edge changes only the rotations at its two ends (a
+        # crossing replaces a dart in place), so each route is checked
+        # against the tags of those ends alone.  After a tagged vertex's
+        # last edge its rotation is a full-length cyclic subsequence of the
+        # tag, that is, the tag itself, so a leaf needs no check.
+        fixed = fixed_rotations or {}
+        self.tagged = [[(w, fixed[w]) for w in e if w in fixed]
+                       for e in self.order]
 
     def run(self):
         emb = Emb()
@@ -174,31 +176,16 @@ class _Router:
 
     def _place(self, emb, idx):
         if idx == len(self.order):
-            if self._tags_ok(emb, final=True):
-                yield emb
+            yield emb
             return
         edge = self.order[idx]
         budget_left = self.bound_fn() - emb.crossing_count()
         if budget_left < 0:
             return
         for child in self._route(emb, edge, budget_left):
-            if not self._tags_ok(child, final=False):
-                continue
-            yield from self._place(child, idx + 1)
-
-    def _tags_ok(self, emb, final):
-        for v, tag in self.fixed.items():
-            if vnode(v) not in emb.rot:
-                if final:
-                    return False
-                continue
-            got = emb.vertex_rotation(v)
-            if final and len(got) == len(tag):
-                if canonical_cycle(got) != canonical_cycle(tag):
-                    return False
-            elif not _cyclic_subsequence(got, tag):
-                return False
-        return True
+            if all(_cyclic_subsequence(child.vertex_rotation(w), tag)
+                   for w, tag in self.tagged[idx]):
+                yield from self._place(child, idx + 1)
 
     # -- incremental routing ------------------------------------------------
 
@@ -208,7 +195,7 @@ class _Router:
         if ring_u:
             starts = [(pos, emb.face_at(d)) for pos, d in enumerate(ring_u)]
         else:
-            starts = [(0, cycle) for cycle in emb.faces()] or [(0, None)]
+            starts = [(0, cycle) for cycle in emb.faces()] or [(0, ())]
         for pos, cycle in starts:
             yield from self._grow(
                 emb, edge, vnode(edge[0]), pos, cycle, frozenset(), budget_left
@@ -216,13 +203,7 @@ class _Router:
 
     def _grow(self, emb, edge, node, pos, cycle, crossed, budget):
         """Extend the partial route ending at `node` (ring gap `pos`) inside
-        the face `cycle`."""
-        if cycle is None:
-            # empty arrangement: only the plain segment is possible
-            child = emb.copy()
-            child.finish_edge(edge, node, pos, 0)
-            yield child
-            return
+        the face `cycle`, which is () while nothing is drawn."""
         ring_v = emb.rot[vnode(edge[1])]
         if not ring_v:
             child = emb.copy()
@@ -257,14 +238,17 @@ def enumerate_embeddings(graph, fixed_rotations, bound_fn):
     `bound_fn()` crossings.
 
     `fixed_rotations` (or None) pins cyclic neighbor orders at chosen
-    vertices; `bound_fn` is re-read at every step, so a caller may tighten
-    the budget while the stream runs (branch-and-bound).  Yields Emb objects
-    in deterministic DFS order, each emitted structure distinct.  Raises
-    ValueError on a disconnected graph: the pipeline splits its input into
-    connected components before it builds any host.
+    vertices of `graph`; `bound_fn` is re-read at every step, so a caller
+    may tighten the budget while the stream runs (branch-and-bound).  Yields
+    Emb objects in deterministic DFS order, each emitted structure distinct.
+    Raises ValueError on a disconnected graph (the pipeline splits its input
+    into connected components before it builds any host) and on a pinned
+    vertex outside the graph.
     """
     if not graph.is_connected():
         raise ValueError("router host graph is disconnected")
+    if not set(fixed_rotations or ()) <= set(graph.vertices):
+        raise ValueError("rotation pinned at a vertex outside the host graph")
     yield from _Router(graph, fixed_rotations, bound_fn).run()
 
 

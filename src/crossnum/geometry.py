@@ -134,11 +134,6 @@ def drawing_from_points(graph: Graph, pos: dict) -> CombinatorialDrawing:
     return CombinatorialDrawing.make(graph, seqs, rots, orients)
 
 
-def parabola_points(params) -> list:
-    """Strictly convex rational positions (t, t^2)."""
-    return [(Fraction(t), Fraction(t) ** 2) for t in params]
-
-
 def convex_position_drawing(graph: Graph, order=None) -> CombinatorialDrawing:
     """Drawing with all vertices in convex position (chord diagram).
 
@@ -148,10 +143,9 @@ def convex_position_drawing(graph: Graph, order=None) -> CombinatorialDrawing:
     vs = list(order) if order is not None else sorted(graph.vertices)
     eps = Fraction(1, 100000)
     for attempt in range(40):
-        params = [
-            Fraction(i) + attempt * eps * i * i for i in range(len(vs))
-        ]
-        pos = dict(zip(vs, parabola_points(params)))
+        # strictly convex positions (t, t^2)
+        ts = [Fraction(i) + attempt * eps * i * i for i in range(len(vs))]
+        pos = {v: (t, t * t) for v, t in zip(vs, ts)}
         try:
             return drawing_from_points(graph, pos)
         except DegenerateDrawing:

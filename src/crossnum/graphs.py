@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial, prod
 
 
 class CoverSizeExceeded(Exception):
@@ -118,19 +119,22 @@ class VertexCover:
         return all(u in self.cover or v in self.cover for u, v in g.edges)
 
 
-def _cover_search(edges, chosen, budget, out):
-    """Collect all covers of the remaining edges using <= budget extra picks."""
+def _cover_search(edges, chosen, budget):
+    """The least sorted cover of the remaining edges that adds exactly
+    `budget` picks to `chosen`, or None."""
     uncovered = [e for e in edges if e[0] not in chosen and e[1] not in chosen]
     if not uncovered:
-        out.append(frozenset(chosen))
-        return
+        return sorted(chosen) if budget == 0 else None
     if budget == 0:
-        return
-    u, v = min(uncovered)
-    for pick in (u, v):
+        return None
+    best = None
+    for pick in min(uncovered):
         chosen.add(pick)
-        _cover_search(uncovered, chosen, budget - 1, out)
+        found = _cover_search(uncovered, chosen, budget - 1)
         chosen.remove(pick)
+        if found is not None and (best is None or found < best):
+            best = found
+    return best
 
 
 def find_vertex_cover(g: Graph, k_max: int) -> VertexCover:
@@ -142,24 +146,10 @@ def find_vertex_cover(g: Graph, k_max: int) -> VertexCover:
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     for k in range(k_max + 1):
-        found: list[frozenset[int]] = []
-        _cover_search(list(g.edges), set(), k, found)
-        exact = [c for c in found if len(c) == k]
-        if exact:
-            best = min(sorted(c) for c in exact)
+        best = _cover_search(list(g.edges), set(), k)
+        if best is not None:
             return VertexCover(frozenset(best))
     raise CoverSizeExceeded(f"no vertex cover of size <= {k_max}")
-
-
-def minimum_cover_size_bruteforce(g: Graph) -> int:
-    """Reference oracle: smallest cover by direct subset search."""
-    vs = g.vertices
-    for k in range(len(vs) + 1):
-        for sub in itertools.combinations(vs, k):
-            s = set(sub)
-            if all(u in s or v in s for u, v in g.edges):
-                return k
-    return len(vs)
 
 
 # ---------------------------------------------------------------------------
@@ -283,41 +273,17 @@ def canonical_form(g: Graph) -> tuple:
     for v in vs:
         classes.setdefault(sig[v], []).append(v)
     ordered_classes = [sorted(classes[s]) for s in sorted(classes)]
-    counts = [len(c) for c in ordered_classes]
-    total = 1
-    for c in counts:
-        total *= _factorial(c)
-    if total > 2_000_000:
+    if prod(factorial(len(c)) for c in ordered_classes) > 2_000_000:
         raise ValueError("canonical_form limited to small graphs")
-    best = None
-    slot = 0
-    base_positions = []
-    for cls in ordered_classes:
-        base_positions.append(list(range(slot, slot + len(cls))))
-        slot += len(cls)
-    for perms in itertools.product(
-        *[itertools.permutations(cls) for cls in ordered_classes]
-    ):
-        label = {}
-        for cls_perm, positions in zip(perms, base_positions):
-            for v, p in zip(cls_perm, positions):
-                label[v] = p
-        relabeled = tuple(
-            sorted(
-                tuple(sorted((label[u], label[v]))) for u, v in g.edges
-            )
-        )
-        key = (n, relabeled)
-        if best is None or key < best:
-            best = key
-    return best
 
+    def key(perms):
+        # the classes' permutations, laid end to end, give the new labels
+        label = {v: i for i, v in enumerate(itertools.chain(*perms))}
+        edges = (sorted((label[u], label[v])) for u, v in g.edges)
+        return (n, tuple(sorted(map(tuple, edges))))
 
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+    return min(map(key, itertools.product(
+        *[itertools.permutations(cls) for cls in ordered_classes])))
 
 
 def isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -342,12 +308,8 @@ def automorphisms(g: Graph) -> list[dict[int, int]]:
         for w in by_degree[g.degree(v)]:
             if w in used:
                 continue
-            ok = True
-            for u in vs[:i]:
-                if g.has_edge(v, u) != g.has_edge(w, mapping[u]):
-                    ok = False
-                    break
-            if ok:
+            if all(g.has_edge(v, u) == g.has_edge(w, mapping[u])
+                   for u in vs[:i]):
                 mapping[v] = w
                 used.add(w)
                 extend(i + 1, mapping, used)

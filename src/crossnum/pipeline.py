@@ -471,12 +471,8 @@ def verify(report: SolveReport, cg: CompressedGraph,
             f"lift count != reported value ({recount} != {report.value})",
         )
     gate = oracle_gate or OracleConfig()
-    g = None
-    if cg.total_vertices() <= gate.max_vertices:
-        g = expand(cg)
-        if len(g.edges) > gate.max_edges:
-            g = None
-    if g is not None:
+    g = expand(cg) if cg.total_vertices() <= gate.max_vertices else None
+    if g is not None and len(g.edges) <= gate.max_edges:
         ocr = oracle_cr(g, gate)
         if ocr != report.value:
             return VerifyResult(

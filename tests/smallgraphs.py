@@ -1,12 +1,15 @@
-"""Exhaustive generation of small graphs up to isomorphism.
+"""Exhaustive generation of small graphs up to isomorphism, and a
+brute-force minimum vertex cover, for the tests.
 
-Used by the acceptance suite: augment graphs on n-1 vertices by one vertex
-with every possible neighborhood, deduplicate by canonical form.
+Graphs come from augmenting graphs on n-1 vertices by one vertex with every
+possible neighborhood, deduplicated by canonical form.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, canonical_form
+import itertools
+
+from crossnum.graphs import Graph, canonical_form
 
 
 def graphs_up_to_iso(n: int) -> list[Graph]:
@@ -39,7 +42,7 @@ def connected_graphs(n_max: int):
 
 def small_cover_suite(n_max: int, k_max: int):
     """Connected graphs with <= n_max vertices and minimum cover <= k_max."""
-    from .graphs import CoverSizeExceeded, find_vertex_cover
+    from crossnum.graphs import CoverSizeExceeded, find_vertex_cover
 
     for g in connected_graphs(n_max):
         try:
@@ -47,3 +50,14 @@ def small_cover_suite(n_max: int, k_max: int):
         except CoverSizeExceeded:
             continue
         yield g, cover
+
+
+def minimum_cover_size_bruteforce(g: Graph) -> int:
+    """Reference oracle: smallest cover by direct subset search."""
+    vs = g.vertices
+    for k in range(len(vs) + 1):
+        for sub in itertools.combinations(vs, k):
+            s = set(sub)
+            if all(u in s or v in s for u, v in g.edges):
+                return k
+    return len(vs)

@@ -7,13 +7,7 @@ lines; the full suite is sized for a single desktop core.
 import time
 from math import comb
 
-from crossnum.drawing import (
-    cluster_crossings,
-    clusters,
-    crossing_count,
-    validate_good,
-    zee,
-)
+from crossnum.drawing import crossing_count, validate_good, zee
 from crossnum.geometry import drawing_from_points
 from crossnum.graphs import (
     CompressedGraph,
@@ -24,7 +18,7 @@ from crossnum.graphs import (
     find_vertex_cover,
 )
 from crossnum.iqp import build_iqp, objective, true_value
-from crossnum.oracle import OracleConfig, oracle_cr, oracle_drawings
+from crossnum.oracle import OracleConfig, oracle_cr
 from crossnum.pipeline import (
     PipelineOptions,
     crossing_number,
@@ -32,9 +26,11 @@ from crossnum.pipeline import (
     enumerate_clusterings,
     lift,
 )
-from crossnum.smallgraphs import small_cover_suite
 
+from cluster_reference import cluster_crossings, clusters
 from iqp_reference import feasible_points
+from oracle_reference import oracle_drawings
+from smallgraphs import small_cover_suite
 
 ORACLE = OracleConfig(max_crossings=8, max_edges=18, max_vertices=9)
 

@@ -231,6 +231,15 @@ def test_cover_size_fails_closed(tmp_path, text, code, err_start, mode):
     assert err.startswith(err_start)
 
 
+def test_cover_search_fails_closed(tmp_path):
+    """A 20-edge matching at --k-max 20: the cover search walks 2^20
+    leaves at k = 20 and must keep one cover, not all of them."""
+    p = tmp_path / "matching.txt"
+    p.write_text("".join(f"{2 * i} {2 * i + 1}\n" for i in range(20)))
+    code, out, _ = run_cli([str(p), "--k-max", "20"], limit_memory=True)
+    assert (code, out) == (EXIT_OK, "0\n")
+
+
 def test_oracle_mode_fails_closed(tmp_path):
     # the size gate runs before the graph is expanded
     p = tmp_path / "huge.txt"

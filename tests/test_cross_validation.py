@@ -7,7 +7,8 @@ import random
 from crossnum.drawing import structural_key, validate_good
 from crossnum.enumeration import enumerate_embeddings
 from crossnum.graphs import Graph, complete_bipartite, complete_graph
-from crossnum.oracle import oracle_drawings
+
+from oracle_reference import oracle_drawings
 
 
 def router_keys(g, bound):

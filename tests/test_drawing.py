@@ -5,24 +5,26 @@ import pytest
 
 from crossnum.drawing import (
     CombinatorialDrawing,
-    WeightedClustering,
-    cl_value,
-    cluster_crossings,
-    clusters,
     crossing_count,
     drawing_from_text,
     drawing_to_text,
     equivalent,
-    noncluster_count,
     structural_key,
     validate_good,
     zee,
 )
 from crossnum.geometry import drawing_from_points
 from crossnum.graphs import Graph, complete_bipartite, complete_graph
-from crossnum.oracle import oracle_drawings
 
+from cluster_reference import (
+    WeightedClustering,
+    cl_value,
+    cluster_crossings,
+    clusters,
+    noncluster_count,
+)
 from drawing_reference import canonical_key
+from oracle_reference import oracle_drawings
 
 F = Fraction
 
@@ -154,6 +156,16 @@ def test_planarize_bowtie():
     assert planarization_counts(d) == (5, 6, 3)
     assert len(d.emb().components()) == 1
     assert d.emb().euler_ok()
+
+
+def test_euler_ok_sees_one_bad_component_beside_a_good_one():
+    """A crossing-free K5 has no sphere embedding, and a triangle beside
+    it must not make up for that."""
+    tri = ((5, 6), (5, 7), (6, 7))
+    both = Graph(tuple(range(8)), complete_graph(5).edges + tri)
+    assert CombinatorialDrawing.make(both, {}, {}).emb().euler_ok() is False
+    alone = Graph((5, 6, 7), tri)
+    assert CombinatorialDrawing.make(alone, {}, {}).emb().euler_ok() is True
 
 
 def test_equivalent_reflexive_and_rotation_sensitive():

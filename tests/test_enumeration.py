@@ -7,7 +7,6 @@ from crossnum.drawing import (
     structural_key,
     validate_good,
 )
-from crossnum.drawing import clusters as cluster_partition
 from crossnum.enumeration import (
     cyclic_orders,
     enumerate_embeddings,
@@ -20,8 +19,10 @@ from crossnum.graphs import (
     compress,
     complete_bipartite,
 )
-from crossnum.oracle import oracle_drawings
 from crossnum.pipeline import enumerate_clusterings, ordered_rep_sets
+
+from cluster_reference import clusters as cluster_partition
+from oracle_reference import oracle_drawings
 
 GOLDEN = Path(__file__).parent / "data"
 
@@ -211,3 +212,11 @@ def test_router_rejects_disconnected_hosts():
     two_paths = Graph.from_edges([(0, 1), (2, 3)])
     with pytest.raises(ValueError, match="disconnected"):
         next(enumerate_embeddings(two_paths, None, lambda: 0))
+
+
+def test_router_rejects_a_tag_outside_the_host():
+    import pytest
+
+    star = complete_bipartite(1, 3)
+    with pytest.raises(ValueError, match="outside the host"):
+        next(enumerate_embeddings(star, {4: (0,)}, lambda: 0))

@@ -17,11 +17,11 @@ from crossnum.graphs import (
     format_compressed,
     format_edge_list,
     isomorphic,
-    minimum_cover_size_bruteforce,
     parse_compressed,
     parse_edge_list,
 )
-from crossnum.smallgraphs import graphs_up_to_iso
+
+from smallgraphs import graphs_up_to_iso, minimum_cover_size_bruteforce
 
 
 def fig2_graph():

@@ -3,13 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from crossnum.drawing import (
-    clusters,
-    crossing_count,
-    drawing_to_text,
-    validate_good,
-    zee,
-)
+from crossnum.drawing import crossing_count, drawing_to_text, validate_good, zee
 from crossnum.graphs import (
     CompressedGraph,
     Graph,
@@ -37,6 +31,7 @@ from crossnum.pipeline import (
     verify,
 )
 
+from cluster_reference import clusters
 from iqp_reference import feasible_points
 
 

@@ -2,16 +2,12 @@
 
 import itertools
 
-from crossnum.drawing import (
-    WeightedClustering,
-    clusters,
-    crossing_count,
-    noncluster_count,
-    validate_good,
-)
+from crossnum.drawing import crossing_count, validate_good
 from crossnum.graphs import VertexCover, complete_bipartite, compress
-from crossnum.oracle import oracle_drawings
 from crossnum.pipeline import crossing_number
+
+from cluster_reference import WeightedClustering, clusters, noncluster_count
+from oracle_reference import oracle_drawings
 
 
 def test_noncluster_lemma_on_oracle_drawings():
