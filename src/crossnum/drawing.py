@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .embedding import Emb, build_emb
+from .embedding import Emb
 from .graphs import Graph
 
 
@@ -70,9 +70,10 @@ class CombinatorialDrawing:
         return {c: tuple(sorted(es)) for c, es in on.items()}
 
     def emb(self) -> Emb:
-        """The embedded planarization that the orientation bits pin."""
-        return build_emb(self.graph, self.seq_map, self.rot_map,
-                         dict(self.orientations))
+        """The embedded planarization that the orientation bits pin, with
+        the crossings numbered 0, 1, ... in the order of their ids here."""
+        return Emb().add_drawing(self.graph, self.seq_map, self.rot_map,
+                                 dict(self.orientations))
 
     def relabel(self, mapping) -> "CombinatorialDrawing":
         """The subdrawing on the vertices that `mapping` keys, each renamed

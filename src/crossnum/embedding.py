@@ -46,6 +46,11 @@ class Emb:
     def rev(dart):
         return (dart[0], 1 - dart[1])
 
+    def end_dart(self, edge, v):
+        """The dart of `edge` that leaves its end v."""
+        chain = self.chains[edge]
+        return (chain[-1], 1) if edge[1] == v else (chain[0], 0)
+
     def succ(self, dart):
         """Next dart along the face containing `dart`."""
         w = self.head(dart)
@@ -220,29 +225,50 @@ class Emb:
         self.finish_edge(edge, node, start_pos, end_pos)
         return new_cids
 
-    def merge(self, other: "Emb"):
-        """Add a disjoint copy of `other`, renumbering its segments and
-        crossings after this embedding's own."""
-        seg_map = {
-            sid: self._next_seg + i for i, sid in enumerate(sorted(other.segs))
-        }
-        self._next_seg += len(seg_map)
-        x_map = {
-            cid: self._next_x + i for i, cid in enumerate(sorted(other.xpairs))
-        }
-        self._next_x += len(x_map)
+    def add_drawing(self, graph, sequences, rotations, orientations) -> "Emb":
+        """Add a drawing beside what this embedding holds, and return self.
 
-        def node_map(n):
-            return n if n[0] == "v" else xnode(x_map[n[1]])
-
-        for sid, (a, b, e) in other.segs.items():
-            self.segs[seg_map[sid]] = (node_map(a), node_map(b), e)
-        for e, chain in other.chains.items():
-            self.chains[e] = [seg_map[s] for s in chain]
-        for n, ring in other.rot.items():
-            self.rot[node_map(n)] = [(seg_map[s], d) for s, d in ring]
-        for cid, pair in other.xpairs.items():
-            self.xpairs[x_map[cid]] = pair
+        `sequences`: edge -> crossing ids in u -> v order; `rotations`:
+        vertex -> cyclic neighbor tuple; `orientations`: crossing id -> 0/1
+        bit as drawing_data gives it.  The drawing shares no vertex with
+        what is here; its crossings take the next free ids, in the order of
+        their own ids.
+        """
+        pair_of: dict[int, list] = {}
+        for edge, seq in sequences.items():
+            for cid in seq:
+                pair_of.setdefault(cid, []).append(edge)
+        for v in graph.vertices:
+            self.add_vertex(v)
+        new_id = {}
+        for cid, edges in sorted(pair_of.items()):
+            if len(edges) != 2:
+                raise ValueError(f"crossing {cid} not on exactly two edges")
+            new_id[cid] = self._next_x
+            self.xpairs[self._next_x] = tuple(sorted(edges))
+            self._next_x += 1
+        prev: dict[tuple, tuple] = {}  # (crossing id, edge) -> dart back
+        nxt: dict[tuple, tuple] = {}   # (crossing id, edge) -> dart onward
+        for edge in sorted(sequences):
+            xs = [new_id[c] for c in sequences[edge]]
+            stops = [vnode(edge[0])] + [xnode(c) for c in xs] + [vnode(edge[1])]
+            chain = [self._new_seg(a, b, edge) for a, b in zip(stops, stops[1:])]
+            self.chains[edge] = chain
+            for i, cid in enumerate(xs):
+                prev[cid, edge] = (chain[i], 1)
+                nxt[cid, edge] = (chain[i + 1], 0)
+        for v, neighbors in rotations.items():
+            self.rot[vnode(v)] = [
+                self.end_dart((v, w) if v < w else (w, v), v) for w in neighbors
+            ]
+        for cid, c in new_id.items():
+            e, f = self.xpairs[c]
+            ep, en, fp, fn = prev[c, e], nxt[c, e], prev[c, f], nxt[c, f]
+            if orientations.get(cid, 0) == 0:
+                self.rot[xnode(c)] = [ep, fp, en, fn]
+            else:
+                self.rot[xnode(c)] = [ep, fn, en, fp]
+        return self
 
     # -- extraction -------------------------------------------------------
 
@@ -307,50 +333,3 @@ class Emb:
         if darts != in_rings:
             raise ValueError("rotation rings do not cover all darts")
 
-
-def build_emb(graph, sequences, rotations, orientations) -> Emb:
-    """Assemble an Emb from drawing data.
-
-    `sequences`: edge -> crossing ids in u -> v order; `rotations`: vertex ->
-    cyclic neighbor tuple; `orientations`: crossing id -> 0/1 bit as produced
-    by Emb.drawing_data.
-    """
-    emb = Emb()
-    pair_of: dict[int, list] = {}
-    for edge, seq in sequences.items():
-        for cid in seq:
-            pair_of.setdefault(cid, []).append(edge)
-    for v in graph.vertices:
-        emb.add_vertex(v)
-    for cid, edges in sorted(pair_of.items()):
-        if len(edges) != 2:
-            raise ValueError(f"crossing {cid} not on exactly two edges")
-        emb.rot[xnode(cid)] = []
-        emb.xpairs[cid] = tuple(sorted(edges))
-    emb._next_x = max(pair_of, default=-1) + 1
-    prev: dict[tuple, tuple] = {}  # (crossing id, edge) -> dart back
-    nxt: dict[tuple, tuple] = {}   # (crossing id, edge) -> dart onward
-    for edge in sorted(sequences):
-        seq = sequences[edge]
-        stops = [vnode(edge[0])] + [xnode(c) for c in seq] + [vnode(edge[1])]
-        chain = [emb._new_seg(a, b, edge) for a, b in zip(stops, stops[1:])]
-        emb.chains[edge] = chain
-        for i, cid in enumerate(seq):
-            prev[cid, edge] = (chain[i], 1)
-            nxt[cid, edge] = (chain[i + 1], 0)
-    # vertex rotations: map neighbor order to first-segment darts
-    for v, neighbors in rotations.items():
-        ring = []
-        for w in neighbors:
-            edge = (v, w) if v < w else (w, v)
-            chain = emb.chains[edge]
-            ring.append((chain[0], 0) if edge[0] == v else (chain[-1], 1))
-        emb.rot[vnode(v)] = ring
-    # dummy rotations from orientation bits
-    for cid, (e, f) in emb.xpairs.items():
-        ep, en, fp, fn = prev[cid, e], nxt[cid, e], prev[cid, f], nxt[cid, f]
-        if orientations.get(cid, 0) == 0:
-            emb.rot[xnode(cid)] = [ep, fp, en, fn]
-        else:
-            emb.rot[xnode(cid)] = [ep, fn, en, fp]
-    return emb

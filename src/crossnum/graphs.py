@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial, prod
 
 
 class CoverSizeExceeded(Exception):
@@ -64,13 +63,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edge_set
-
-    def induced(self, keep) -> "Graph":
-        keep = set(keep)
-        return Graph(
-            tuple(sorted(keep)),
-            tuple(e for e in self.edges if e[0] in keep and e[1] in keep),
-        )
 
     def components(self) -> list[frozenset[int]]:
         seen: set[int] = set()
@@ -140,16 +132,27 @@ def _cover_search(edges, chosen, budget):
 def find_vertex_cover(g: Graph, k_max: int) -> VertexCover:
     """Minimum vertex cover via edge branching, capped at size k_max.
 
-    Returns the lexicographically least cover among those of minimum size.
-    Raises CoverSizeExceeded when every cover is larger than k_max.
+    Each connected component is searched on its own, within what the
+    earlier components left of k_max, and the components' least covers
+    join into the lexicographically least cover among those of minimum
+    size.  Raises CoverSizeExceeded when every cover is larger than k_max.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    for k in range(k_max + 1):
-        best = _cover_search(list(g.edges), set(), k)
-        if best is not None:
-            return VertexCover(frozenset(best))
-    raise CoverSizeExceeded(f"no vertex cover of size <= {k_max}")
+    comp_of = {v: i for i, comp in enumerate(g.components()) for v in comp}
+    edges_of: dict[int, list] = {}
+    for e in g.edges:
+        edges_of.setdefault(comp_of[e[0]], []).append(e)
+    cover: list[int] = []
+    for edges in edges_of.values():
+        for k in range(k_max - len(cover) + 1):
+            found = _cover_search(edges, set(), k)
+            if found is not None:
+                cover += found
+                break
+        else:
+            raise CoverSizeExceeded(f"no vertex cover of size <= {k_max}")
+    return VertexCover(frozenset(cover))
 
 
 # ---------------------------------------------------------------------------
@@ -237,87 +240,44 @@ def expand(cg: CompressedGraph) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism and canonical forms (small graphs only)
+# isomorphisms (small graphs only)
 
 
-def canonical_form(g: Graph) -> tuple:
-    """Canonical edge tuple under vertex relabeling.
+def isomorphisms(g1: Graph, g2: Graph):
+    """Yield every bijection from g1's vertices onto g2's that keeps
+    adjacency, by degree-pruned backtracking (small graphs)."""
+    vs = g1.vertices
+    if len(vs) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+        return
+    by_degree: dict[int, list[int]] = {}
+    for w in g2.vertices:
+        by_degree.setdefault(g2.degree(w), []).append(w)
+    mapping: dict[int, int] = {}
 
-    Color-refined brute force per connected component; intended for the
-    small graphs used in tests.
-    """
-    comps = g.components()
-    if len(comps) > 1:
-        parts = sorted(canonical_form(g.induced(c)) for c in comps)
-        shift = 0
-        edges = []
-        for cn, ces in parts:
-            edges.extend((u + shift, v + shift) for u, v in ces)
-            shift += cn
-        return (shift, tuple(sorted(edges)))
-    vs = list(g.vertices)
-    n = len(vs)
-    # iterated color refinement to cut the permutation space
-    sig = {v: g.degree(v) for v in vs}
-    for _ in range(n):
-        nxt = {
-            v: (sig[v], tuple(sorted(sig[w] for w in g.adjacency[v])))
-            for v in vs
-        }
-        names = {s: i for i, s in enumerate(sorted(set(nxt.values())))}
-        renamed = {v: names[nxt[v]] for v in vs}
-        if len(set(renamed.values())) == len(set(sig.values())):
-            break
-        sig = renamed
-    classes: dict = {}
-    for v in vs:
-        classes.setdefault(sig[v], []).append(v)
-    ordered_classes = [sorted(classes[s]) for s in sorted(classes)]
-    if prod(factorial(len(c)) for c in ordered_classes) > 2_000_000:
-        raise ValueError("canonical_form limited to small graphs")
+    def extend(i):
+        if i == len(vs):
+            yield dict(mapping)
+            return
+        v = vs[i]
+        for w in by_degree.get(g1.degree(v), ()):
+            if w in mapping.values():
+                continue
+            if all(g1.has_edge(v, u) == g2.has_edge(w, mapping[u])
+                   for u in vs[:i]):
+                mapping[v] = w
+                yield from extend(i + 1)
+                del mapping[v]
 
-    def key(perms):
-        # the classes' permutations, laid end to end, give the new labels
-        label = {v: i for i, v in enumerate(itertools.chain(*perms))}
-        edges = (sorted((label[u], label[v])) for u, v in g.edges)
-        return (n, tuple(sorted(map(tuple, edges))))
-
-    return min(map(key, itertools.product(
-        *[itertools.permutations(cls) for cls in ordered_classes])))
+    yield from extend(0)
 
 
 def isomorphic(g1: Graph, g2: Graph) -> bool:
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
-        return False
-    return canonical_form(g1) == canonical_form(g2)
+    return next(isomorphisms(g1, g2), None) is not None
 
 
 def automorphisms(g: Graph) -> list[dict[int, int]]:
-    """All automorphisms by degree-pruned backtracking (small graphs)."""
-    vs = sorted(g.vertices)
-    by_degree: dict[int, list[int]] = {}
-    for v in vs:
-        by_degree.setdefault(g.degree(v), []).append(v)
-    out: list[dict[int, int]] = []
-
-    def extend(i, mapping, used):
-        if i == len(vs):
-            out.append(dict(mapping))
-            return
-        v = vs[i]
-        for w in by_degree[g.degree(v)]:
-            if w in used:
-                continue
-            if all(g.has_edge(v, u) == g.has_edge(w, mapping[u])
-                   for u in vs[:i]):
-                mapping[v] = w
-                used.add(w)
-                extend(i + 1, mapping, used)
-                used.remove(w)
-                del mapping[v]
-
-    extend(0, {}, set())
-    return out
+    """All automorphisms of g (small graphs)."""
+    return list(isomorphisms(g, g))
 
 
 # ---------------------------------------------------------------------------

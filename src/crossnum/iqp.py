@@ -4,7 +4,6 @@ f(z) = z^T Q z + 2 p^T z over products of integer simplices."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .drawing import zee
 from .enumeration import AbstractClustering
@@ -97,27 +96,6 @@ def objective(inst: IqpInstance, z) -> int:
     return total
 
 
-def true_value(inst: IqpInstance, z) -> int:
-    """r + weighted crossings of the clustering + forced cluster crossings.
-
-    Computed directly rather than by inverting f: the two differ by the
-    instance constant sum_i Z(|Y_i|) * h(Y_i) (see the objective/true-value
-    identity in the tests).
-    """
-    q, p = inst.q, inst.p
-    n = inst.size
-    total = inst.r
-    for a in range(n):
-        za = z[a]
-        if not za:
-            continue
-        total += p[a] * za
-        for b in range(a + 1, n):
-            total += q[a][b] * za * z[b]
-        total += comb(za, 2) * q[a][a]
-    return total
-
-
 def solve_iqp(inst: IqpInstance, cap: int = 200_000) -> IqpSolution:
     """Exact global minimizer of f, lexicographically least among optima.
 
@@ -161,7 +139,9 @@ def solve_iqp(inst: IqpInstance, cap: int = 200_000) -> IqpSolution:
             child[free] = half
             stack.append(_propagate(groups, child))
     f, z = best
-    return IqpSolution(z, f, true_value(inst, z))
+    # f(z) - 2 (value - r) = sum_a Q_aa z_a for every z
+    diag = sum(inst.q[a][a] * z[a] for a in range(inst.size))
+    return IqpSolution(z, f, inst.r + (f - diag) // 2)
 
 
 def _bound(inst, groups, box, corner):

@@ -41,7 +41,7 @@ class ResourceCapExceeded(Exception):
 
 
 # Crossings plus vertices of the largest drawing assemble_lifted builds:
-# each crossing costs about 2.5 KB and 44 us to lift, and each vertex one
+# each crossing costs about 1.5 KB and 35 us to lift, and each vertex one
 # stacked copy or add_vertex call.  K_{3,998} (249 503) is within it.
 DRAWING_CAP = 250_000
 
@@ -298,26 +298,27 @@ def crossing_number(cg: CompressedGraph, opts: PipelineOptions | None = None) ->
 # lifting: stacking weighted copies of each representative
 
 
-def _away_dart(emb: Emb, edge, v):
-    chain = emb.chains[edge]
-    return (chain[-1], 1) if edge[1] == v else (chain[0], 0)
-
-
 def duplicate_star(emb: Emb, v: int, v_new: int):
-    """Add a parallel copy of v's star at a fresh vertex.
+    """Add a parallel copy of v's star at a fresh vertex v_new.
 
     The copy realizes the two-sided stacking pattern: the new star crosses
     v's star exactly Z(deg v) times (left half of the rotation bundled
     against the right half) and repeats every crossing currently carried by
-    v's edges, so each existing star copy is crossed just as v was.  The
-    sphere property is not checked here; `_lift_emb` checks it once after
-    the last copy.
+    v's edges, so each existing star copy is crossed just as v was.  Each
+    edge of the copy is drawn from its other end, which a lift makes the
+    smaller one: raises ValueError, before changing anything, unless v is
+    the larger end of each of its edges and v_new > v.  The sphere property
+    is not checked here; a lift checks it once after the last copy.
     """
     ring = emb.rot[vnode(v)]
-    m = len(ring)
     edges = [emb.edge_of(d) for d in ring]
+    if v_new <= v or any(e[1] != v for e in edges):
+        raise ValueError(
+            f"cannot copy the star of {v} to {v_new}: the copy must be the "
+            f"larger id, and {v} the larger end of each of its edges")
+    m = len(ring)
     if m:
-        start = min(range(m), key=lambda i: edges[i])
+        start = edges.index(min(edges))
         edges = edges[start:] + edges[:start]
     a = m // 2
     snapshot = {
@@ -325,45 +326,29 @@ def duplicate_star(emb: Emb, v: int, v_new: int):
     }
     emb.add_vertex(v_new)
     hub_cnt = {e: 0 for e in edges}
-    for q0, e_q in enumerate(edges):
-        q = q0 + 1
+    for q, e_q in enumerate(edges, 1):
         left = q <= a
-        y_q = e_q[0] if e_q[1] == v else e_q[1]
-        steps_out = []
         if left:
             # cross each earlier-left edge's innermost segment from above:
             # the crossed dart points away from v (its face is the corner
             # sector the copy's edge occupies)
-            steps_out.extend(_away_dart(emb, e_p, v) for e_p in edges[:q - 1])
+            steps_out = [emb.end_dart(e_p, v) for e_p in edges[:q - 1]]
         else:
             # cross the farther-right edges just beyond their earlier hub
             # dummies, via the dart pointing back toward v
-            for p0 in range(m - 1, q - 1, -1):
-                e_p = edges[p0]
-                chain = emb.chains[e_p]
-                if e_p[1] == v:
-                    sid = chain[len(chain) - 1 - hub_cnt[e_p]]
-                    steps_out.append((sid, 0))
-                else:
-                    sid = chain[hub_cnt[e_p]]
-                    steps_out.append((sid, 1))
+            steps_out = []
+            for e_p in reversed(edges[q:]):
                 hub_cnt[e_p] += 1
+                steps_out.append((emb.chains[e_p][-hub_cnt[e_p]], 0))
         # corridor along e_q, outward from v over the pre-duplication dummies
         # (e_q's own chain never changes during its corridor, so index once)
-        interior = snapshot[e_q]
-        outward = reversed(interior) if e_q[1] == v else iter(interior)
-        chain = emb.chains[e_q]
-        at = {emb.segs[sid][0]: j for j, sid in enumerate(chain)}
-        for node in outward:
-            i = at[node]
-            if e_q[1] == v:
-                beta = (chain[i - 1], 1)
-            else:
-                beta = (chain[i], 0)
+        back = {emb.segs[sid][1]: (sid, 1) for sid in emb.chains[e_q]}
+        for node in reversed(snapshot[e_q]):
             ringx = emb.rot[node]
-            j = ringx.index(beta)
-            # left copies run on the walk's right (clockwise of beta), right
-            # copies on its left; cross the partner's half on that side
+            j = ringx.index(back[node])
+            # left copies run on the walk's right (clockwise of the dart
+            # back toward e_q's other end), right copies on its left; cross
+            # the partner's half on that side
             if left:
                 target = ringx[(j - 1) % 4]
             else:
@@ -371,27 +356,19 @@ def duplicate_star(emb: Emb, v: int, v_new: int):
             if emb.edge_of(target) == e_q:
                 raise ValueError(f"stacked copy of {e_q} would cross it")
             steps_out.append(target)
-        ring_y = emb.rot[vnode(y_q)]
-        t_dart = _away_dart(emb, e_q, y_q)
-        idx = ring_y.index(t_dart)
-        start_pos = idx + 1 if left else idx
-        new_edge = (y_q, v_new) if y_q < v_new else (v_new, y_q)
-        if new_edge[0] == y_q:
-            steps = [Emb.rev(d) for d in reversed(steps_out)]
-            emb.insert_edge(
-                new_edge, start_pos, steps, len(emb.rot[vnode(v_new)])
-            )
-        else:
-            emb.insert_edge(
-                new_edge, len(emb.rot[vnode(v_new)]), list(steps_out), start_pos
-            )
+        y_q = e_q[0]
+        idx = emb.rot[vnode(y_q)].index(emb.end_dart(e_q, y_q))
+        emb.insert_edge((y_q, v_new), idx + 1 if left else idx,
+                        [Emb.rev(d) for d in reversed(steps_out)],
+                        len(emb.rot[vnode(v_new)]))
 
 
-def _lift_emb(c: AbstractClustering, z, cover_ids, first_id) -> tuple:
-    """The embedding of c with each representative replaced by z stacked
+def _lift_into(emb: Emb, c: AbstractClustering, z, cover_ids,
+               first_id) -> int:
+    """Add c to `emb` with each representative replaced by z stacked
     copies, under final vertex ids: cover vertex i becomes cover_ids[i] and
     the copies take ids first_id, first_id + 1, ... in representative
-    order.  Returns (embedding, next free id)."""
+    order.  Returns the next free id."""
     mapping = dict(enumerate(cover_ids))
     stacks = []
     nxt = first_id
@@ -400,13 +377,19 @@ def _lift_emb(c: AbstractClustering, z, cover_ids, first_id) -> tuple:
             mapping[spec.vertex] = nxt
             stacks.append((nxt, w))
             nxt += w
-    emb = c.drawing.relabel(mapping).emb()
+    d = c.drawing.relabel(mapping)
+    emb.add_drawing(d.graph, d.seq_map, d.rot_map, dict(d.orientations))
     for v, w in stacks:
         for copy in range(v + 1, v + w):
             duplicate_star(emb, v, copy)
+    return nxt
+
+
+def _lifted_drawing(emb: Emb, n: int) -> CombinatorialDrawing:
+    """The drawing of a lift on vertices 0..n-1, after one sphere check."""
     if not emb.euler_ok():
         raise UnrealizableDrawing("stacked copies broke the sphere embedding")
-    return emb, nxt
+    return emb.to_drawing(Graph(tuple(range(n)), tuple(sorted(emb.chains))))
 
 
 def lift(c: AbstractClustering, z) -> CombinatorialDrawing:
@@ -415,17 +398,17 @@ def lift(c: AbstractClustering, z) -> CombinatorialDrawing:
     Copies are labeled k, k+1, ... in representative order; the total
     crossing count equals the instance's true value at z.
     """
-    emb, n = _lift_emb(c, z, range(c.k), c.k)
-    return emb.to_drawing(Graph(tuple(range(n)), tuple(sorted(emb.chains))))
+    emb = Emb()
+    return _lifted_drawing(emb, _lift_into(emb, c, z, range(c.k), c.k))
 
 
 def assemble_lifted(cg: CompressedGraph, report: SolveReport) -> CombinatorialDrawing:
-    """Lift every component winner and lay the pieces side by side, with
-    the vertices without an edge added on their own: the cover keeps ids
-    0..k-1, each component's copies follow in component order, and the
-    empty neighborhood's vertices come last.  Raises ResourceCapExceeded,
-    before building anything, when the drawing would have more than
-    DRAWING_CAP crossings and vertices together."""
+    """Lift every component winner into one embedding, with the vertices
+    without an edge added on their own: the cover keeps ids 0..k-1, each
+    component's copies follow in component order, and the empty
+    neighborhood's vertices come last.  Raises ResourceCapExceeded, before
+    building anything, when the drawing would have more than DRAWING_CAP
+    crossings and vertices together."""
     n = cg.total_vertices()
     if report.value + n > DRAWING_CAP:
         raise ResourceCapExceeded(
@@ -433,17 +416,15 @@ def assemble_lifted(cg: CompressedGraph, report: SolveReport) -> CombinatorialDr
             f"{report.value} crossings and {n} vertices "
             f"(cap {DRAWING_CAP} in all)"
         )
-    merged = Emb()
-    for v in range(cg.k):
-        merged.add_vertex(v)
+    emb = Emb()
     nxt = cg.k
     for res in report.components:
-        emb, nxt = _lift_emb(res.winner, res.weights, res.cover, nxt)
-        merged.merge(emb)
-    for u in range(nxt, nxt + cg.h_map.get(0, 0)):
-        merged.add_vertex(u)
-    vertices = tuple(sorted(n[1] for n in merged.rot if n[0] == "v"))
-    return merged.to_drawing(Graph(vertices, tuple(sorted(merged.chains))))
+        nxt = _lift_into(emb, res.winner, res.weights, res.cover, nxt)
+    # each class's weights sum to its count, so the ids end at n - 1; the
+    # empty neighborhood's vertices and edgeless cover vertices join here
+    for u in range(n):
+        emb.add_vertex(u)
+    return _lifted_drawing(emb, n)
 
 
 # ---------------------------------------------------------------------------

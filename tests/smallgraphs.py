@@ -1,5 +1,5 @@
-"""Exhaustive generation of small graphs up to isomorphism, and a
-brute-force minimum vertex cover, for the tests.
+"""Exhaustive generation of small graphs up to isomorphism, their
+canonical form, and a brute-force minimum vertex cover, for the tests.
 
 Graphs come from augmenting graphs on n-1 vertices by one vertex with every
 possible neighborhood, deduplicated by canonical form.
@@ -8,8 +8,64 @@ possible neighborhood, deduplicated by canonical form.
 from __future__ import annotations
 
 import itertools
+from math import factorial, prod
 
-from crossnum.graphs import Graph, canonical_form
+from crossnum.graphs import Graph
+
+
+def induced(g: Graph, keep) -> Graph:
+    """The subgraph of g on the vertices in `keep`."""
+    keep = set(keep)
+    return Graph(
+        tuple(sorted(keep)),
+        tuple(e for e in g.edges if e[0] in keep and e[1] in keep),
+    )
+
+
+def canonical_form(g: Graph) -> tuple:
+    """Canonical edge tuple under vertex relabeling.
+
+    Color-refined brute force per connected component; intended for the
+    small graphs used in tests.
+    """
+    comps = g.components()
+    if len(comps) > 1:
+        parts = sorted(canonical_form(induced(g, c)) for c in comps)
+        shift = 0
+        edges = []
+        for cn, ces in parts:
+            edges.extend((u + shift, v + shift) for u, v in ces)
+            shift += cn
+        return (shift, tuple(sorted(edges)))
+    vs = list(g.vertices)
+    n = len(vs)
+    # iterated color refinement to cut the permutation space
+    sig = {v: g.degree(v) for v in vs}
+    for _ in range(n):
+        nxt = {
+            v: (sig[v], tuple(sorted(sig[w] for w in g.adjacency[v])))
+            for v in vs
+        }
+        names = {s: i for i, s in enumerate(sorted(set(nxt.values())))}
+        renamed = {v: names[nxt[v]] for v in vs}
+        if len(set(renamed.values())) == len(set(sig.values())):
+            break
+        sig = renamed
+    classes: dict = {}
+    for v in vs:
+        classes.setdefault(sig[v], []).append(v)
+    ordered_classes = [sorted(classes[s]) for s in sorted(classes)]
+    if prod(factorial(len(c)) for c in ordered_classes) > 2_000_000:
+        raise ValueError("canonical_form limited to small graphs")
+
+    def key(perms):
+        # the classes' permutations, laid end to end, give the new labels
+        label = {v: i for i, v in enumerate(itertools.chain(*perms))}
+        edges = (sorted((label[u], label[v])) for u, v in g.edges)
+        return (n, tuple(sorted(map(tuple, edges))))
+
+    return min(map(key, itertools.product(
+        *[itertools.permutations(cls) for cls in ordered_classes])))
 
 
 def graphs_up_to_iso(n: int) -> list[Graph]:

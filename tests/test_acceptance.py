@@ -17,7 +17,7 @@ from crossnum.graphs import (
     complete_graph,
     find_vertex_cover,
 )
-from crossnum.iqp import build_iqp, objective, true_value
+from crossnum.iqp import build_iqp, objective
 from crossnum.oracle import OracleConfig, oracle_cr
 from crossnum.pipeline import (
     PipelineOptions,
@@ -28,7 +28,7 @@ from crossnum.pipeline import (
 )
 
 from cluster_reference import cluster_crossings, clusters
-from iqp_reference import feasible_points
+from iqp_reference import feasible_points, true_value
 from oracle_reference import oracle_drawings
 from smallgraphs import small_cover_suite
 

@@ -358,3 +358,15 @@ def test_dump_walks_the_solvers_components(tmp_path):
             want.append(f"clustering {count} r={c.r}\nreps {reps}\n"
                         f"{drawing_to_text(c.drawing)}end\n")
     assert out == "".join(want)
+
+
+def test_cover_search_is_linear_in_a_matching(tmp_path):
+    """Each edge of a matching is a component of its own, searched on its
+    own: a 2000-edge matching at --k-max 2000 solves in seconds."""
+    p = tmp_path / "matching.txt"
+    p.write_text("".join(f"{2 * i} {2 * i + 1}\n" for i in range(2000)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "crossnum.cli", str(p), "--k-max", "2000"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_OK, "0\n"), proc.stderr

@@ -13,7 +13,8 @@ from crossnum.drawing import (
     validate_good,
     zee,
 )
-from crossnum.geometry import drawing_from_points
+from crossnum.embedding import Emb
+from crossnum.geometry import convex_position_drawing, drawing_from_points
 from crossnum.graphs import Graph, complete_bipartite, complete_graph
 
 from cluster_reference import (
@@ -387,3 +388,31 @@ def test_drawing_text_round_trip():
     back = drawing_from_text(text)
     assert drawing_to_text(back) == text
     assert equivalent(d, back)
+
+
+def test_add_drawing_numbers_crossings_after_those_present():
+    d = convex_position_drawing(complete_bipartite(3, 3))
+    shifted = d.relabel({v: v + 10 for v in d.graph.vertices})
+    emb = Emb()
+    for part in (d, shifted):
+        emb.add_drawing(part.graph, part.seq_map, part.rot_map,
+                        dict(part.orientations))
+    assert sorted(emb.xpairs) == list(range(18))
+    assert all(min(min(pair)) >= 10 for c, pair in emb.xpairs.items() if c >= 9)
+    assert emb.euler_ok()
+
+
+def test_emb_numbers_crossings_in_the_order_of_their_ids():
+    d = convex_position_drawing(complete_bipartite(3, 3))
+    gap = {c: 5 + 4 * i for i, c in enumerate(sorted(d.crossing_pairs))}
+    gapped = CombinatorialDrawing.make(
+        d.graph,
+        {e: tuple(gap[c] for c in seq) for e, seq in d.sequences},
+        d.rot_map,
+        {gap[c]: bit for c, bit in d.orientations},
+    )
+    back = gapped.emb().to_drawing(gapped.graph)
+    rank = {c: i for i, c in enumerate(sorted(gapped.crossing_pairs))}
+    assert back.crossing_pairs == {
+        rank[c]: pair for c, pair in gapped.crossing_pairs.items()}
+    assert structural_key(back) == structural_key(gapped)

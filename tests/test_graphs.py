@@ -8,7 +8,6 @@ from crossnum.graphs import (
     Graph,
     VertexCover,
     automorphisms,
-    canonical_form,
     complete_bipartite,
     complete_graph,
     compress,
@@ -21,7 +20,11 @@ from crossnum.graphs import (
     parse_edge_list,
 )
 
-from smallgraphs import graphs_up_to_iso, minimum_cover_size_bruteforce
+from smallgraphs import (
+    canonical_form,
+    graphs_up_to_iso,
+    minimum_cover_size_bruteforce,
+)
 
 
 def fig2_graph():

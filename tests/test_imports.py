@@ -1,14 +1,17 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+private helper of the package has a caller."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "crossnum"
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_import(path):
     tree = ast.parse(path.read_text())
     imported, used = set(), set()
@@ -23,3 +26,33 @@ def test_no_unused_import(path):
                 getattr(t, "id", None) for t in node.targets}:
             used |= set(ast.literal_eval(node.value))
     assert sorted(imported - used) == []
+
+
+def _named(tree) -> Counter:
+    """How often each name is read as a variable or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def _private_defs(tree):
+    """Module-level functions and classes, and methods, whose names start
+    with one underscore."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    tops = [n for n in tree.body if isinstance(n, kinds)]
+    methods = [n for c in tops if isinstance(c, ast.ClassDef)
+               for n in c.body if isinstance(n, kinds)]
+    return [n for n in tops + methods
+            if n.name.startswith("_") and not n.name.startswith("__")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_helper_has_a_caller(path):
+    named = sum((_named(ast.parse(p.read_text())) for p in MODULES), Counter())
+    uncalled = [
+        d.name for d in _private_defs(ast.parse(path.read_text()))
+        if named[d.name] == _named(d)[d.name]
+    ]
+    assert uncalled == []

@@ -16,11 +16,10 @@ from crossnum.iqp import (
     iqp_to_text,
     objective,
     solve_iqp,
-    true_value,
 )
 from crossnum.pipeline import enumerate_clusterings
 
-from iqp_reference import feasible_points
+from iqp_reference import feasible_points, true_value
 
 
 def make_instance(groups, q, p, r=0):

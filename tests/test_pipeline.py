@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from crossnum.drawing import crossing_count, drawing_to_text, validate_good, zee
+from crossnum.embedding import Emb
+from crossnum.geometry import convex_position_drawing
 from crossnum.graphs import (
     CompressedGraph,
     Graph,
@@ -16,7 +18,7 @@ from crossnum.graphs import (
     isomorphic,
     parse_compressed,
 )
-from crossnum.iqp import build_iqp, true_value
+from crossnum.iqp import build_iqp
 from crossnum.oracle import OracleConfig
 from crossnum.pipeline import (
     PipelineOptions,
@@ -25,6 +27,7 @@ from crossnum.pipeline import (
     chord_clustering,
     component_split,
     crossing_number,
+    duplicate_star,
     enumerate_clusterings,
     initial_budget,
     lift,
@@ -32,7 +35,7 @@ from crossnum.pipeline import (
 )
 
 from cluster_reference import clusters
-from iqp_reference import feasible_points
+from iqp_reference import feasible_points, true_value
 
 
 def test_initial_budget_examples():
@@ -408,3 +411,35 @@ def test_component_split_renumbers_each_component():
         ((1, 4), CompressedGraph.make(2, ((0, 1),), {})),
     ]
     assert isolated == 3 + 2
+
+
+def test_duplicate_star_takes_only_the_orientation_a_lift_makes():
+    """A lift copies a star whose centre is the larger end of each edge to
+    a larger id; any other call is refused before the embedding changes."""
+    low = convex_position_drawing(Graph((0, 1, 2, 3), ((0, 1), (0, 2), (0, 3))))
+    high = convex_position_drawing(Graph((0, 1, 2, 3), ((0, 3), (1, 3), (2, 3))))
+    for d, v, v_new in ((low, 0, 4), (high, 3, 3), (high, 3, 2)):
+        emb = d.emb()
+        before = vars(emb.copy())
+        with pytest.raises(ValueError):
+            duplicate_star(emb, v, v_new)
+        assert vars(emb) == before
+    emb = high.emb()
+    duplicate_star(emb, 3, 4)
+    assert emb.crossing_count() == zee(3) == 1
+    assert emb.euler_ok()
+
+
+def test_one_sphere_check_per_lift(monkeypatch):
+    cg = parse_compressed("6\nh 7 3\nh 56 3\nh 0 3\n")
+    rep = crossing_number(cg)
+    assert len(rep.components) == 2
+    calls = []
+    euler_ok = Emb.euler_ok
+    monkeypatch.setattr(Emb, "euler_ok",
+                        lambda self: calls.append(self) or euler_ok(self))
+    assemble_lifted(cg, rep)
+    assert len(calls) == 1
+    comp = rep.components[0]
+    lift(comp.winner, comp.weights)
+    assert len(calls) == 2
