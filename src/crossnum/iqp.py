@@ -113,8 +113,6 @@ def solve_iqp(inst: IqpInstance, cap: int = 200_000) -> IqpSolution:
     boxes, not O(n).  `cap` bounds the boxes expanded by one call
     (IqpCapExceeded on overrun, never a silent approximation).
     """
-    if inst.size == 0:
-        return IqpSolution((), 0, inst.r)
     groups = list(zip(inst.index_groups(), (h for _, _, h in inst.groups)))
     best = (float("inf"), ())
     stack = [_propagate(groups, [(0, h) for ix, h in groups for _ in ix])]

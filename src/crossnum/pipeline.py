@@ -3,6 +3,7 @@ select the global optimum, and lift the winner to a drawing of the input."""
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import partial
@@ -52,6 +53,10 @@ COVER_CAP = 10_000
 
 # Most representative sets a solve lists.
 REP_SET_CAP = 100_000
+
+# Largest cover whose symmetries a solve searches for, by trying all k!
+# permutations; a larger cover is solved with mirroring alone.
+GROUP_COVER_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -210,6 +215,59 @@ def ordered_rep_sets(cg: CompressedGraph, cap: int) -> list:
     )
 
 
+def _cover_group(cg: CompressedGraph) -> list:
+    """The permutations p of the cover (i goes to p[i]) that map the G_X
+    edges onto themselves and each h mask onto a mask with the same count;
+    the identity alone when the cover has more than GROUP_COVER_CAP
+    vertices."""
+    identity = tuple(range(cg.k))
+    if cg.k > GROUP_COVER_CAP:
+        return [identity]
+    edges = set(cg.gx_edges)
+    h = cg.h_map
+    return [
+        p for p in itertools.permutations(identity)
+        if all(tuple(sorted((p[u], p[v]))) in edges for u, v in edges)
+        and all(h.get(_mask_image(m, p)) == c for m, c in cg.h)
+    ]
+
+
+def _mask_image(mask: int, p: tuple) -> int:
+    return sum(1 << p[i] for i in mask_members(mask, len(p)))
+
+
+def _orbit_representatives(cg: CompressedGraph, rep_sets) -> list:
+    """The first rep set of each orbit of `rep_sets`, in their order,
+    under the cover group combined with mirroring.
+
+    Relabelling the cover by a group element, or mirroring a drawing
+    (reversing every rotation), maps the clusterings of one rep set onto
+    those of another in its orbit, with the same crossings and IQP values,
+    so a solve needs one rep set per orbit (isomorph rejection, McKay 1998).
+    A rep set is keyed by its sorted (mask, tag) pairs; the image of a pair
+    maps the mask and the tag through p, reverses the tag when mirroring,
+    and rotates it to its canonical start.
+    """
+    maps = [
+        ({m: _mask_image(m, p) for m, _ in cg.h}, p, mirror)
+        for p in _cover_group(cg) for mirror in (False, True)
+    ]
+    seen = set()
+    out = []
+    for rs in rep_sets:
+        key = tuple((s.mask, s.tag) for s in rs.reps)
+        if key in seen:
+            continue
+        out.append(rs)
+        for masks, p, mirror in maps:
+            seen.add(tuple(sorted(
+                (masks[m], canonical_cycle(tuple(
+                    p[x] for x in (tag[::-1] if mirror else tag))))
+                for m, tag in key
+            )))
+    return out
+
+
 def clustering_stream(cg: CompressedGraph, rep_sets, budget, cap: int):
     """Yield (i, clustering) for the clusterings of each `rep_sets[i]` in
     turn, in router DFS order, pairwise distinct.  `budget(i)` is re-read
@@ -256,7 +314,7 @@ def _solve_component(cover: tuple, cg: CompressedGraph,
     instance = build_iqp(winner, cg)
     sol0 = solve_iqp(instance, opts.iqp_cap)
     value, weights, key = sol0.value, sol0.z, structural_key(winner.drawing)
-    rep_sets = ordered_rep_sets(cg, REP_SET_CAP)
+    rep_sets = _orbit_representatives(cg, ordered_rep_sets(cg, REP_SET_CAP))
     counts = [0] * len(rep_sets)
     cl_mins = [_cl_min(rs, cg) for rs in rep_sets]
     # distinct clusterings often give equal instances; solve each once

@@ -93,6 +93,14 @@ def test_solve_single_point():
     assert sol.z == (3,) and sol.f == 9
 
 
+def test_solve_empty_instance():
+    # no representatives: the one box is empty, f = 0 and the value is r
+    sol = solve_iqp(make_instance([], [], [], r=3))
+    assert (sol.z, sol.f, sol.value) == ((), 0, 3)
+    with pytest.raises(IqpCapExceeded):
+        solve_iqp(make_instance([], [], [], r=3), cap=0)
+
+
 def test_solve_k33_tiebreak():
     inst = k33_instance()
     sol = solve_iqp(inst)

@@ -1,7 +1,10 @@
+import itertools
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from crossnum.drawing import crossing_count, drawing_to_text, validate_good, zee
 from crossnum.embedding import Emb
@@ -19,8 +22,9 @@ from crossnum.graphs import (
     parse_compressed,
 )
 from crossnum.iqp import build_iqp
-from crossnum.oracle import OracleConfig
+from crossnum.oracle import OracleCeilingExceeded, OracleConfig, oracle_cr
 from crossnum.pipeline import (
+    REP_SET_CAP,
     PipelineOptions,
     ResourceCapExceeded,
     assemble_lifted,
@@ -31,6 +35,7 @@ from crossnum.pipeline import (
     enumerate_clusterings,
     initial_budget,
     lift,
+    ordered_rep_sets,
     verify,
 )
 
@@ -443,3 +448,117 @@ def test_one_sphere_check_per_lift(monkeypatch):
     comp = rep.components[0]
     lift(comp.winner, comp.weights)
     assert len(calls) == 2
+
+
+def _cover_compressed(g):
+    return compress(g, find_vertex_cover(g, len(g.vertices)))
+
+
+@pytest.mark.parametrize("cg, labelled, orbits, value", [
+    (_cover_compressed(complete_graph(6)), 24, 1, 3),
+    (_cover_compressed(complete_bipartite(4, 4)), 56, 7, 4),
+    (parse_compressed("4\ngx 0 1\ngx 1 2\ngx 2 3\ngx 0 3\nh 15 3\n"),
+     41, 10, 2),
+    (parse_compressed("4\ngx 0 1\ngx 1 2\ngx 2 3\nh 15 3\n"), 41, 18, 2),
+    (parse_compressed("3\ngx 0 1\nh 7 4\nh 3 4\nh 5 4\n"), 3, 2, 2),
+    # the group moves the masks: the four 3-sets of a 4-cover, one of
+    # them with count 2, so it fixes vertex 0
+    (parse_compressed("4\nh 7 1\nh 11 1\nh 13 1\nh 14 2\n"), 24, 6, 1),
+], ids=["K6", "K44", "C4+3", "P4+3", "G3", "3-sets"])
+def test_one_rep_set_per_orbit(cg, labelled, orbits, value):
+    """A solve reads the first rep set of each orbit under the cover group
+    and mirroring; the dump and enumerate_clusterings still list all."""
+    assert len(ordered_rep_sets(cg, REP_SET_CAP)) == labelled
+    rep = crossing_number(cg)
+    (comp,) = rep.components
+    assert len(comp.rep_set_counts) == orbits
+    assert rep.value == value
+
+
+def _solve_every_rep_set(cg):
+    with pytest.MonkeyPatch.context() as mp:
+        import crossnum.pipeline as pipeline
+
+        mp.setattr(pipeline, "_orbit_representatives", lambda cg, rs: rs)
+        return crossing_number(cg)
+
+
+@st.composite
+def symmetric_covers(draw):
+    """A cover of 3 or 4 vertices whose G_X and h are closed under a
+    drawn permutation p, so p is in the cover group; h <= 2 per mask, at
+    most eight vertices and 24 labelled rep sets."""
+    k = draw(st.sampled_from((4, 3)))
+    p = draw(st.permutations(range(k)))
+
+    def orbit(x, image):
+        out = []
+        while x not in out:
+            out.append(x)
+            x = image(x)
+        return out
+
+    gx = set()
+    pairs = list(itertools.combinations(range(k), 2))
+    for e in draw(st.lists(st.sampled_from(pairs), max_size=4)):
+        gx.update(orbit(e, lambda e: tuple(sorted((p[e[0]], p[e[1]])))))
+    h = {}
+    masks = sorted(range(1, 2**k), key=lambda m: (-bin(m).count("1"), m))
+    for m in draw(st.lists(st.sampled_from(masks), min_size=1, max_size=3)):
+        count = draw(st.integers(1, 2))
+        for image in orbit(m, lambda m: sum(1 << p[i] for i in range(k)
+                                            if m >> i & 1)):
+            h.setdefault(image, count)
+    cg = CompressedGraph.make(k, sorted(gx), h)
+    assume(cg.total_vertices() <= 8)
+    assume(len(ordered_rep_sets(cg, REP_SET_CAP)) <= 24)
+    return cg
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(symmetric_covers())
+# the swap of 0 and 3 keeps G_X and h; a group that ignored G_X would
+# also take (0 1) and (1 3), and the solve would read 3, not 2
+@example(parse_compressed("4\ngx 0 2\ngx 2 3\nh 11 2\nh 15 2\n"))
+# seven cover vertices: the group is the identity and mirroring alone acts
+@example(parse_compressed(
+    "7\ngx 2 3\ngx 3 4\ngx 4 5\ngx 5 6\nh 7 3\nh 112 2\n"))
+def test_orbit_filter_keeps_the_value(cg):
+    rep = crossing_number(cg)
+    full = _solve_every_rep_set(cg)
+    assert rep.value == full.value
+
+
+@st.composite
+def small_compressed(draw):
+    """k <= 3 and, once expanded, at most 9 vertices and 18 edges."""
+    k = draw(st.sampled_from((3, 2, 1)))
+    pairs = list(itertools.combinations(range(k), 2))
+    gx = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    full = 2**k - 1
+    room = 9 - k
+    h = {full: draw(st.sampled_from(range(room + 1)))}
+    room -= h[full]
+    for m in draw(st.permutations(range(full))):
+        h[m] = draw(st.integers(0, room))
+        room -= h[m]
+    cg = CompressedGraph.make(k, sorted(gx), h)
+    assume(len(expand(cg).edges) <= 18)
+    return cg
+
+
+# the oracle decides cr <= 3 exactly; proving a larger value takes it
+# minutes on K_{3,6}, so above 3 it confirms only that cr > 3
+ORACLE_CEILING = 3
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(small_compressed())
+def test_random_compressed_inputs_match_oracle(cg):
+    value = crossing_number(cg).value
+    try:
+        want = oracle_cr(expand(cg), OracleConfig(max_crossings=ORACLE_CEILING))
+    except OracleCeilingExceeded:
+        assert value > ORACLE_CEILING
+    else:
+        assert value == want
