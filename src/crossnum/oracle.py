@@ -1,15 +1,37 @@
-"""Definition-level crossing number: search over crossing-pair sets and
-per-edge orders, accepting a candidate when its planarization is planar.
+"""Definition-level crossing number: the least c such that some set of c
+crossing pairs, with some order of the crossings along each edge, has a
+planar planarization.
 
-Deliberately independent of the pipeline's enumeration machinery: candidate
-generation is plain set enumeration and planarity testing is networkx's
-left-right test.
+Deliberately independent of the pipeline's enumeration machinery:
+candidates are sets of pairs of independent edges, their symmetry comes
+from the automorphisms of the input graph itself (not from the solver's
+cover group), and planarity testing is networkx's left-right test.
+
+Two reductions keep the search small; neither changes the value.
+
+* Orderly generation (Read 1978; McKay, "Isomorph-free exhaustive
+  generation", 1998).  A pair set is a sorted tuple of pair indices, and
+  only the lexicographically least tuple of each automorphism orbit is
+  tested.  Being least is closed under prefixes: if a relabelling made
+  S minus its largest element smaller, the same relabelling would make S
+  smaller.  So the least sets of size c are found by extending the least
+  sets of size c - 1 by a larger index, and every orbit is reached.
+  Relabelling a drawing keeps its crossing count, so testing one set per
+  orbit decides every size exactly.
+* Euler prune.  In a drawing whose crossings are the pair set P, deleting
+  a set S of edges that meets every pair of P leaves a plane drawing of
+  G - S.  G - S has all n vertices of G and girth at least g, the girth of
+  the non-planar G, so it has at most floor(g (n - 2) / (g - 2)) edges
+  (Euler's formula; an acyclic G - S has at most n - 1 <= that many).  If
+  fewer edges than |E| minus that bound meet every pair of P, no order
+  of P's crossings can be planar, and P is skipped untested.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 
 import networkx as nx
 
@@ -27,18 +49,25 @@ class OracleConfig:
     max_crossings: int = 8   # iterative-deepening ceiling
     max_edges: int = 18
     max_vertices: int = 9
+    max_work: int = 100_000  # pair sets examined plus planarity tests run
 
     def __post_init__(self):
         if self.max_crossings < 0 or self.max_edges <= 0 or self.max_vertices <= 0:
             raise ValueError("oracle ceilings must be positive")
+        if self.max_work < 0:
+            raise ValueError("oracle work cap must not be negative")
+
+
+def _nx_graph(g: Graph) -> nx.Graph:
+    ng = nx.Graph()
+    ng.add_nodes_from(g.vertices)
+    ng.add_edges_from(g.edges)
+    return ng
 
 
 def is_planar(g: Graph) -> bool:
     """Standalone planarity test (left-right algorithm via networkx)."""
-    ng = nx.Graph()
-    ng.add_nodes_from(g.vertices)
-    ng.add_edges_from(g.edges)
-    ok, _ = nx.check_planarity(ng, counterexample=False)
+    ok, _ = nx.check_planarity(_nx_graph(g), counterexample=False)
     return ok
 
 
@@ -85,32 +114,88 @@ def _planarization_nx(g: Graph, pair_set, orders):
     return ng
 
 
-def _pair_orbit_reps(g: Graph, pairs) -> set:
-    """Pairs that are lexicographic minima of their automorphism orbits."""
-    autos = automorphisms(g)
-    reps = set()
-    seen = set()
-    for pr in pairs:
-        if pr in seen:
-            continue
-        orbit = set()
-        for sigma in autos:
-            e, f = pr
-            se = tuple(sorted((sigma[e[0]], sigma[e[1]])))
-            sf = tuple(sorted((sigma[f[0]], sigma[f[1]])))
-            orbit.add(tuple(sorted((se, sf))))
-        seen |= orbit
-        reps.add(min(orbit))
-    return reps
+def _pair_permutations(g: Graph, pairs) -> list[tuple[int, ...]]:
+    """The automorphisms of g acting on indices into `pairs`: distinct,
+    identity dropped."""
+    edge_index = {e: i for i, e in enumerate(g.edges)}
+    pair_edges = [(edge_index[e], edge_index[f]) for e, f in pairs]
+    pair_index = {pr: i for i, pr in enumerate(pair_edges)}
+    perms = set()
+    for sigma in automorphisms(g):
+        moved = [edge_index[min(sigma[u], sigma[v]), max(sigma[u], sigma[v])]
+                 for u, v in g.edges]
+        perms.add(tuple(
+            pair_index[min(moved[i], moved[j]), max(moved[i], moved[j])]
+            for i, j in pair_edges
+        ))
+    perms.discard(tuple(range(len(pairs))))
+    return sorted(perms)
+
+
+def _planar_edge_bound(g: Graph) -> int:
+    """Most edges a plane subgraph of the non-planar g can keep on all of
+    g's vertices: floor(girth (n - 2) / (girth - 2))."""
+    girth = nx.girth(_nx_graph(g))
+    return girth * (len(g.vertices) - 2) // (girth - 2)
+
+
+def _hits_below(pair_set, k: int) -> bool:
+    """Whether fewer than k edges meet every pair of `pair_set`: a bounded
+    search tree that puts either edge of the first unmet pair in the set."""
+    if not pair_set:
+        return k > 0
+    if k <= 1:
+        return False
+    return any(
+        _hits_below([p for p in pair_set if x not in p], k - 1)
+        for x in pair_set[0]
+    )
+
+
+def _least_pair_sets(perms, n_pairs: int, max_size: int, spend):
+    """Every sorted tuple of at most `max_size` pair indices that no
+    permutation in `perms` maps to a lexicographically smaller one, by
+    size then lexicographically (orderly generation).
+
+    Level c extends each tuple of level c - 1 by every larger index and
+    calls `spend()` once per extension tried.  Tuples are compared as
+    integers: index i weighs 2^(n_pairs - 1 - i), so of two tuples of one
+    size the lexicographically smaller has the larger weight sum.
+    """
+    weight = [1 << (n_pairs - 1 - i) for i in range(n_pairs)]
+    # image_weight[i][j]: the weight of index i's image under perms[j]
+    image_weight = [[weight[p[i]] for p in perms] for i in range(n_pairs)]
+    level = [()]
+    for _ in range(max_size):
+        kept = []
+        for base in level:
+            base_weight = sum(weight[i] for i in base)
+            base_images = [0] * len(perms)
+            for i in base:
+                base_images = list(map(add, base_images, image_weight[i]))
+            for x in range(base[-1] + 1 if base else 0, n_pairs):
+                spend()
+                total = base_weight + weight[x]
+                if any(map(total.__lt__,
+                           map(add, base_images, image_weight[x]))):
+                    continue
+                kept.append(base + (x,))
+                yield kept[-1]
+        level = kept
 
 
 def oracle_cr(g: Graph, cfg: OracleConfig | None = None) -> int:
     """Least c admitting c crossing pairs whose planarization is planar.
 
-    Iterative deepening c = 0, 1, ...; candidate sets by size then
-    lexicographic order.  The first set slot only ranges over automorphism
-    orbit representatives, which is exhaustive up to relabeling and keeps
-    dense inputs tractable.
+    Iterative deepening c = 0, 1, ... over the pair sets that are least in
+    their automorphism orbit (`_least_pair_sets`; see the module docstring
+    for why this is exhaustive).  Each is tested, under every order of
+    the crossings along each edge, unless fewer than `need` (|E| minus
+    the planar edge bound) edges meet all of its pairs: the Euler prune.
+
+    Raises `OracleCeilingExceeded` when g is outside the size limits, when
+    no drawing has at most `cfg.max_crossings` crossings, or when the pair
+    sets examined plus the planarity tests run exceed `cfg.max_work`.
     """
     cfg = cfg or OracleConfig()
     if len(g.edges) > cfg.max_edges or len(g.vertices) > cfg.max_vertices:
@@ -118,20 +203,29 @@ def oracle_cr(g: Graph, cfg: OracleConfig | None = None) -> int:
     if is_planar(g):
         return 0
     pairs = _nonadjacent_pairs(g)
-    first_slots = _pair_orbit_reps(g, pairs)
-    index = {pr: i for i, pr in enumerate(pairs)}
-    for c in range(1, cfg.max_crossings + 1):
-        for first in pairs:
-            if first not in first_slots:
-                continue
-            rest = pairs[index[first] + 1 :]
-            for tail in itertools.combinations(rest, c - 1):
-                pair_set = (first,) + tail
-                for orders in _order_assignments(pair_set):
-                    ng = _planarization_nx(g, pair_set, orders)
-                    ok, _ = nx.check_planarity(ng, counterexample=False)
-                    if ok:
-                        return c
+    need = len(g.edges) - _planar_edge_bound(g)
+    work = 0
+
+    def spend():
+        nonlocal work
+        work += 1
+        if work > cfg.max_work:
+            raise OracleCeilingExceeded(
+                f"oracle work cap hit: {cfg.max_work} pair sets and "
+                "planarity tests"
+            )
+
+    for s in _least_pair_sets(_pair_permutations(g, pairs), len(pairs),
+                              cfg.max_crossings, spend):
+        pair_set = tuple(pairs[i] for i in s)
+        if _hits_below(pair_set, need):
+            continue
+        for orders in _order_assignments(pair_set):
+            spend()
+            ng = _planarization_nx(g, pair_set, orders)
+            ok, _ = nx.check_planarity(ng, counterexample=False)
+            if ok:
+                return len(s)
     raise OracleCeilingExceeded(
         f"no drawing found with <= {cfg.max_crossings} crossings"
     )

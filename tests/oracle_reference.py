@@ -1,8 +1,10 @@
-"""Reference enumerator of good drawings for the tests: every drawing of
-a small graph with at most c crossings, up to equivalence.
+"""Reference enumerators for the tests: the crossing number straight from
+its definition, and every good drawing of a small graph with at most c
+crossings, up to equivalence.
 
-Independent of the solver's router: candidate crossing configurations come
-from `crossnum.oracle`'s plain set enumeration and planarity test, and each
+Independent of the solver's router: candidate crossing configurations are
+every set of crossing pairs with every order along each edge, tested with
+`crossnum.oracle`'s planarization and networkx's planarity test, and each
 configuration's embeddings are built by a face-insertion routine of their
 own.
 """
@@ -13,7 +15,32 @@ import networkx as nx
 
 from crossnum.drawing import CombinatorialDrawing, canonical_cycle, structural_key
 from crossnum.graphs import Graph
-from crossnum.oracle import _nonadjacent_pairs, _order_assignments, _planarization_nx
+from crossnum.oracle import (
+    OracleCeilingExceeded,
+    _nonadjacent_pairs,
+    _order_assignments,
+    _planarization_nx,
+)
+
+
+# ---------------------------------------------------------------------------
+# definition-level crossing number
+
+
+def plain_oracle_cr(g: Graph, max_crossings: int) -> int:
+    """Least c such that some c crossing pairs, in some order along each
+    edge, have a planar planarization: every pair set and every order, with
+    no symmetry reduction and no prune."""
+    pairs = _nonadjacent_pairs(g)
+    for c in range(max_crossings + 1):
+        for pair_set in itertools.combinations(pairs, c):
+            for orders in _order_assignments(pair_set):
+                ng = _planarization_nx(g, pair_set, orders)
+                if nx.check_planarity(ng, counterexample=False)[0]:
+                    return c
+    raise OracleCeilingExceeded(
+        f"no drawing found with <= {max_crossings} crossings"
+    )
 
 
 # ---------------------------------------------------------------------------

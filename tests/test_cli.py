@@ -14,7 +14,12 @@ from crossnum.cli import (
     main,
 )
 from crossnum.drawing import UnrealizableDrawing
-from crossnum.graphs import complete_graph, format_compressed, format_edge_list
+from crossnum.graphs import (
+    complete_bipartite,
+    complete_graph,
+    format_compressed,
+    format_edge_list,
+)
 from crossnum.graphs import CompressedGraph
 from crossnum.iqp import ClusteringMismatch
 
@@ -261,6 +266,25 @@ def test_oracle_mode_fails_closed(tmp_path):
         assert code == EXIT_CAP and out == ""
 
 
+@pytest.mark.parametrize("mode", ["oracle", "verify"])
+def test_oracle_work_cap_fails_closed(tmp_path, mode):
+    # K_{3,5} takes the oracle 942 pair sets and planarity tests; K_{3,6}
+    # (compressed 3 / h 7 6) is inside the size limits but far beyond 2 000
+    k35 = tmp_path / "k35.txt"
+    k35.write_text(format_edge_list(complete_bipartite(3, 5)))
+    k36 = tmp_path / "k36.txt"
+    k36.write_text("3\nh 7 6\n")
+    for src, fmt, cap in ((k35, "edge-list", 500), (k36, "compressed", 2000)):
+        code, out, err = run_cli([str(src), "--format", fmt, "--mode", mode,
+                                  "--oracle-work", str(cap)])
+        assert code == EXIT_CAP and out == "", err
+        assert err == (f"error: oracle work cap hit: {cap} pair sets and "
+                       "planarity tests\n")
+    code, out, _ = run_cli([str(k35), "--mode", mode])
+    assert code == EXIT_OK
+    assert out == ("4\n" if mode == "oracle" else "pipeline=4 oracle=4\n")
+
+
 @pytest.mark.parametrize("mode", ["solve", "verify", "dump-clusterings"])
 def test_repeated_gx_edge_is_a_parse_error(tmp_path, mode):
     p = tmp_path / "twice.txt"
@@ -309,7 +333,8 @@ def test_failed_internal_check_is_an_error_exit(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize(
-    "option", ["--k-max", "--budget-cap", "--iqp-cap", "--oracle-crossings"]
+    "option", ["--k-max", "--budget-cap", "--iqp-cap", "--oracle-crossings",
+               "--oracle-work"]
 )
 def test_negative_count_option_is_a_parse_error(tmp_path, option):
     code, out, err = run_cli([write_k33(tmp_path), "--mode", "verify",
