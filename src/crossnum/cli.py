@@ -71,9 +71,6 @@ def build_parser():
                    help="node cap per IQP solve")
     p.add_argument("--oracle-crossings", type=non_negative_int, default=8,
                    help="iterative deepening ceiling for the oracle")
-    p.add_argument("--oracle-work", type=non_negative_int,
-                   default=OracleConfig.max_work,
-                   help="cap on the oracle's pair sets plus planarity tests")
     p.add_argument("--out-report", help="write the solve report (JSON)")
     p.add_argument("--out-drawing", help="write the lifted drawing (text)")
     p.add_argument("--out-svg", help="render the lifted drawing")
@@ -153,8 +150,7 @@ def _run_solve(cg, opts, args) -> int:
 
 
 def _run_oracle(cg, args) -> int:
-    cfg = OracleConfig(max_crossings=args.oracle_crossings,
-                       max_work=args.oracle_work)
+    cfg = OracleConfig(max_crossings=args.oracle_crossings)
     if cg.total_vertices() > cfg.max_vertices:
         raise OracleCeilingExceeded(
             f"graph outside oracle size limits: {cg.total_vertices()} "
@@ -165,8 +161,7 @@ def _run_oracle(cg, args) -> int:
 
 def _run_verify(cg, opts, args) -> int:
     report = crossing_number(cg, opts)
-    gate = OracleConfig(max_crossings=args.oracle_crossings,
-                        max_work=args.oracle_work)
+    gate = OracleConfig(max_crossings=args.oracle_crossings)
     res = verify(report, cg, gate)
     print(res.detail)
     if not res.ok:

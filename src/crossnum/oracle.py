@@ -49,7 +49,7 @@ class OracleConfig:
     max_crossings: int = 8   # iterative-deepening ceiling
     max_edges: int = 18
     max_vertices: int = 9
-    max_work: int = 100_000  # pair sets examined plus planarity tests run
+    max_work: int = 20_000_000  # pair-set images plus planarity tests
 
     def __post_init__(self):
         if self.max_crossings < 0 or self.max_edges <= 0 or self.max_vertices <= 0:
@@ -158,9 +158,10 @@ def _least_pair_sets(perms, n_pairs: int, max_size: int, spend):
     size then lexicographically (orderly generation).
 
     Level c extends each tuple of level c - 1 by every larger index and
-    calls `spend()` once per extension tried.  Tuples are compared as
-    integers: index i weighs 2^(n_pairs - 1 - i), so of two tuples of one
-    size the lexicographically smaller has the larger weight sum.
+    calls `spend(len(perms) + 1)` per extension tried: the extension and
+    its image under each permutation.  Tuples are compared as integers:
+    index i weighs 2^(n_pairs - 1 - i), so of two tuples of one size the
+    lexicographically smaller has the larger weight sum.
     """
     weight = [1 << (n_pairs - 1 - i) for i in range(n_pairs)]
     # image_weight[i][j]: the weight of index i's image under perms[j]
@@ -174,7 +175,7 @@ def _least_pair_sets(perms, n_pairs: int, max_size: int, spend):
             for i in base:
                 base_images = list(map(add, base_images, image_weight[i]))
             for x in range(base[-1] + 1 if base else 0, n_pairs):
-                spend()
+                spend(len(perms) + 1)
                 total = base_weight + weight[x]
                 if any(map(total.__lt__,
                            map(add, base_images, image_weight[x]))):
@@ -194,8 +195,9 @@ def oracle_cr(g: Graph, cfg: OracleConfig | None = None) -> int:
     the planar edge bound) edges meet all of its pairs: the Euler prune.
 
     Raises `OracleCeilingExceeded` when g is outside the size limits, when
-    no drawing has at most `cfg.max_crossings` crossings, or when the pair
-    sets examined plus the planarity tests run exceed `cfg.max_work`.
+    no drawing has at most `cfg.max_crossings` crossings, or when the work
+    exceeds `cfg.max_work`: each pair set examined counts once plus once
+    per automorphism image, and each planarity test once.
     """
     cfg = cfg or OracleConfig()
     if len(g.edges) > cfg.max_edges or len(g.vertices) > cfg.max_vertices:
@@ -206,12 +208,12 @@ def oracle_cr(g: Graph, cfg: OracleConfig | None = None) -> int:
     need = len(g.edges) - _planar_edge_bound(g)
     work = 0
 
-    def spend():
+    def spend(units):
         nonlocal work
-        work += 1
+        work += units
         if work > cfg.max_work:
             raise OracleCeilingExceeded(
-                f"oracle work cap hit: {cfg.max_work} pair sets and "
+                f"oracle work cap hit: {cfg.max_work} pair-set images and "
                 "planarity tests"
             )
 
@@ -221,7 +223,7 @@ def oracle_cr(g: Graph, cfg: OracleConfig | None = None) -> int:
         if _hits_below(pair_set, need):
             continue
         for orders in _order_assignments(pair_set):
-            spend()
+            spend(1)
             ng = _planarization_nx(g, pair_set, orders)
             ok, _ = nx.check_planarity(ng, counterexample=False)
             if ok:

@@ -1,10 +1,11 @@
+import functools
 import resource
 import subprocess
 import sys
 
 import pytest
 
-from crossnum import pipeline
+from crossnum import cli, pipeline
 from crossnum.cli import (
     EXIT_CAP,
     EXIT_COVER,
@@ -22,6 +23,7 @@ from crossnum.graphs import (
 )
 from crossnum.graphs import CompressedGraph
 from crossnum.iqp import ClusteringMismatch
+from crossnum.oracle import OracleConfig
 
 # inputs whose representative sets (or, for cover 12, whose cyclic orders)
 # are far too many to list; a solve must refuse them before building any
@@ -267,22 +269,27 @@ def test_oracle_mode_fails_closed(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["oracle", "verify"])
-def test_oracle_work_cap_fails_closed(tmp_path, mode):
-    # K_{3,5} takes the oracle 942 pair sets and planarity tests; K_{3,6}
-    # (compressed 3 / h 7 6) is inside the size limits but far beyond 2 000
+def test_oracle_work_cap_fails_closed(tmp_path, mode, monkeypatch, capsys):
     k35 = tmp_path / "k35.txt"
     k35.write_text(format_edge_list(complete_bipartite(3, 5)))
+    assert main([str(k35), "--mode", mode]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "4\n" if mode == "oracle" else "pipeline=4 oracle=4\n"
+    )
+    # K_{3,6} (compressed 3 / h 7 6) is inside the size limits, and the
+    # default cap stops it; K_{3,5} needs about 600 000 units of work
     k36 = tmp_path / "k36.txt"
     k36.write_text("3\nh 7 6\n")
-    for src, fmt, cap in ((k35, "edge-list", 500), (k36, "compressed", 2000)):
-        code, out, err = run_cli([str(src), "--format", fmt, "--mode", mode,
-                                  "--oracle-work", str(cap)])
-        assert code == EXIT_CAP and out == "", err
-        assert err == (f"error: oracle work cap hit: {cap} pair sets and "
-                       "planarity tests\n")
-    code, out, _ = run_cli([str(k35), "--mode", mode])
-    assert code == EXIT_OK
-    assert out == ("4\n" if mode == "oracle" else "pipeline=4 oracle=4\n")
+    runs = ((k36, "compressed", OracleConfig.max_work),
+            (k35, "edge-list", 500_000))
+    for src, fmt, cap in runs:
+        monkeypatch.setattr(cli, "OracleConfig",
+                            functools.partial(OracleConfig, max_work=cap))
+        assert main([str(src), "--format", fmt, "--mode", mode]) == EXIT_CAP
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: oracle work cap hit: {cap} "
+                                "pair-set images and planarity tests\n")
 
 
 @pytest.mark.parametrize("mode", ["solve", "verify", "dump-clusterings"])
@@ -333,8 +340,7 @@ def test_failed_internal_check_is_an_error_exit(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize(
-    "option", ["--k-max", "--budget-cap", "--iqp-cap", "--oracle-crossings",
-               "--oracle-work"]
+    "option", ["--k-max", "--budget-cap", "--iqp-cap", "--oracle-crossings"]
 )
 def test_negative_count_option_is_a_parse_error(tmp_path, option):
     code, out, err = run_cli([write_k33(tmp_path), "--mode", "verify",

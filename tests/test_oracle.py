@@ -52,11 +52,13 @@ def test_oracle_ceiling_signal():
 
 
 def test_oracle_work_cap():
-    # K_{3,5} takes 942 pair sets and planarity tests
+    # K_{3,5} takes 597 712 units: 830 pair sets examined, each counted
+    # once plus once per image under its 719 non-identity automorphisms,
+    # and 112 planarity tests
     k35 = complete_bipartite(3, 5)
     with pytest.raises(OracleCeilingExceeded, match="work cap"):
-        oracle_cr(k35, OracleConfig(max_work=500))
-    assert oracle_cr(k35, OracleConfig(max_work=1_000)) == 4
+        oracle_cr(k35, OracleConfig(max_work=500_000))
+    assert oracle_cr(k35, OracleConfig(max_work=600_000)) == 4
     with pytest.raises(ValueError):
         OracleConfig(max_work=-1)
 
@@ -83,7 +85,7 @@ def test_least_pair_sets_are_one_per_orbit(g):
         for s in itertools.combinations(range(len(pairs)), c)
     }
     got = list(_least_pair_sets(_pair_permutations(g, pairs), len(pairs), 3,
-                                lambda: None))
+                                lambda units: None))
     assert got == sorted(least, key=lambda s: (len(s), s))
 
 
