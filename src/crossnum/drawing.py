@@ -4,6 +4,7 @@ bits, equivalence and crossing counts."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .embedding import Emb
 from .graphs import Graph
@@ -60,9 +61,10 @@ class CombinatorialDrawing:
     def rot_map(self) -> dict:
         return dict(self.rotations)
 
-    @property
+    @cached_property
     def crossing_pairs(self) -> dict:
-        """Crossing id -> sorted (edge, edge) pair."""
+        """Crossing id -> sorted tuple of the edges whose sequences hold it
+        (two in a good drawing), computed once per drawing."""
         on: dict[int, list] = {}
         for e, seq in self.sequences:
             for c in seq:
@@ -72,8 +74,7 @@ class CombinatorialDrawing:
     def emb(self) -> Emb:
         """The embedded planarization that the orientation bits pin, with
         the crossings numbered 0, 1, ... in the order of their ids here."""
-        return Emb().add_drawing(self.graph, self.seq_map, self.rot_map,
-                                 dict(self.orientations))
+        return Emb().add_drawing(self)
 
     def relabel(self, mapping) -> "CombinatorialDrawing":
         """The subdrawing on the vertices that `mapping` keys, each renamed
@@ -114,21 +115,16 @@ class GoodnessReport:
 
 
 def _structural_violation(d: CombinatorialDrawing) -> str:
-    edge_set = set(d.graph.edges)
-    seqs = d.seq_map
-    if set(seqs) != edge_set:
+    # each edge holds one sequence, so a crossing on two entries lies on
+    # two distinct edges unless an edge repeats it
+    if sorted(e for e, _ in d.sequences) != list(d.graph.edges):
         return "sequence table does not match the edge set"
-    on: dict[int, list] = {}
-    for e, seq in seqs.items():
-        for c in seq:
-            on.setdefault(c, []).append(e)
+    for e, seq in d.sequences:
         if len(set(seq)) != len(seq):
             return f"edge {e} repeats a crossing id"
-    for c, es in on.items():
+    for c, es in d.crossing_pairs.items():
         if len(es) != 2:
             return f"crossing {c} does not lie on exactly two edges"
-        if es[0] == es[1]:
-            return f"crossing {c} lies twice on edge {es[0]}"
     rots = d.rot_map
     if set(rots) != set(d.graph.vertices):
         return "rotation table does not match the vertex set"

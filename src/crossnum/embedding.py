@@ -11,6 +11,8 @@ sphere embedding iff V - E + F = 2 on every connected component.
 
 from __future__ import annotations
 
+from .graphs import connected_components
+
 
 def vnode(v):
     return ("v", v)
@@ -27,9 +29,8 @@ class Emb:
         self.segs: dict[int, tuple] = {}   # seg id -> (node_a, node_b, edge)
         self.chains: dict[tuple, list[int]] = {}  # edge -> seg ids, u->v
         self.rot: dict[tuple, list[tuple]] = {}   # node -> outgoing darts
-        self.xpairs: dict[int, tuple] = {}  # crossing id -> (crossed, crosser)
         self._next_seg = 0
-        self._next_x = 0
+        self._next_x = 0  # crossings are never removed, so also their count
 
     # -- dart algebra ---------------------------------------------------
 
@@ -63,7 +64,6 @@ class Emb:
         e.segs = dict(self.segs)
         e.chains = {k: list(v) for k, v in self.chains.items()}
         e.rot = {k: list(v) for k, v in self.rot.items()}
-        e.xpairs = dict(self.xpairs)
         e._next_seg = self._next_seg
         e._next_x = self._next_x
         return e
@@ -77,7 +77,7 @@ class Emb:
         return node
 
     def crossing_count(self) -> int:
-        return len(self.xpairs)
+        return self._next_x
 
     def all_darts(self):
         for sid in sorted(self.segs):
@@ -107,26 +107,8 @@ class Emb:
         return tuple(cycle[i:] + cycle[:i])
 
     def components(self):
-        adj: dict[tuple, list[tuple]] = {n: [] for n in self.rot}
-        for a, b, _ in self.segs.values():
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = set()
-        comps = []
-        for start in sorted(self.rot):
-            if start in seen:
-                continue
-            comp = {start}
-            seen.add(start)
-            stack = [start]
-            while stack:
-                for w in adj[stack.pop()]:
-                    if w not in comp:
-                        comp.add(w)
-                        seen.add(w)
-                        stack.append(w)
-            comps.append(comp)
-        return comps
+        return connected_components(
+            self.rot, ((a, b) for a, b, _ in self.segs.values()))
 
     def euler_ok(self) -> bool:
         """True iff the rotation system is a sphere embedding per component.
@@ -183,12 +165,10 @@ class Emb:
         the first two (faces sit on the right of their darts, so the
         forward dart follows the head-side dart counterclockwise).
         """
-        g = self.edge_of(dart)
         cid = self._next_x
         self._next_x += 1
         x = xnode(cid)
         to_head, to_tail = self._split(dart, x)
-        self.xpairs[cid] = (g, edge)
         seg = self._new_seg(node, x, edge)
         self.chains.setdefault(edge, []).append(seg)
         self._attach(node, pos, (seg, 0))
@@ -210,61 +190,52 @@ class Emb:
         start_pos / end_pos are rotation insertion positions (ignored when
         the endpoint has no edges yet); steps are the darts crossed in
         order, each bounding the face the route occupies just before the
-        crossing.  Returns the new crossing ids in route order.
+        crossing.
         """
         if edge in self.chains:
             raise ValueError(f"edge {edge} already drawn")
         node = self.add_vertex(edge[0])
         self.add_vertex(edge[1])
-        new_cids = []
         for dart in steps:
             if self.edge_of(dart) == edge:
                 raise ValueError("route crosses its own edge")
             node = self.cross_dart(edge, node, start_pos, dart)
-            new_cids.append(node[1])
         self.finish_edge(edge, node, start_pos, end_pos)
-        return new_cids
 
-    def add_drawing(self, graph, sequences, rotations, orientations) -> "Emb":
-        """Add a drawing beside what this embedding holds, and return self.
-
-        `sequences`: edge -> crossing ids in u -> v order; `rotations`:
-        vertex -> cyclic neighbor tuple; `orientations`: crossing id -> 0/1
-        bit as drawing_data gives it.  The drawing shares no vertex with
-        what is here; its crossings take the next free ids, in the order of
-        their own ids.
+    def add_drawing(self, d) -> "Emb":
+        """Add the CombinatorialDrawing `d` beside what this embedding
+        holds, and return self.  The drawing shares no vertex with what is
+        here; its crossings take the next free ids, in the order of their
+        own ids.
         """
-        pair_of: dict[int, list] = {}
-        for edge, seq in sequences.items():
-            for cid in seq:
-                pair_of.setdefault(cid, []).append(edge)
-        for v in graph.vertices:
+        for v in d.graph.vertices:
             self.add_vertex(v)
+        pairs = d.crossing_pairs
         new_id = {}
-        for cid, edges in sorted(pair_of.items()):
-            if len(edges) != 2:
+        for cid in sorted(pairs):
+            if len(pairs[cid]) != 2:
                 raise ValueError(f"crossing {cid} not on exactly two edges")
             new_id[cid] = self._next_x
-            self.xpairs[self._next_x] = tuple(sorted(edges))
             self._next_x += 1
         prev: dict[tuple, tuple] = {}  # (crossing id, edge) -> dart back
         nxt: dict[tuple, tuple] = {}   # (crossing id, edge) -> dart onward
-        for edge in sorted(sequences):
-            xs = [new_id[c] for c in sequences[edge]]
+        for edge, seq in d.sequences:
+            xs = [new_id[c] for c in seq]
             stops = [vnode(edge[0])] + [xnode(c) for c in xs] + [vnode(edge[1])]
             chain = [self._new_seg(a, b, edge) for a, b in zip(stops, stops[1:])]
             self.chains[edge] = chain
             for i, cid in enumerate(xs):
                 prev[cid, edge] = (chain[i], 1)
                 nxt[cid, edge] = (chain[i + 1], 0)
-        for v, neighbors in rotations.items():
+        for v, neighbors in d.rotations:
             self.rot[vnode(v)] = [
                 self.end_dart((v, w) if v < w else (w, v), v) for w in neighbors
             ]
+        bits = dict(d.orientations)
         for cid, c in new_id.items():
-            e, f = self.xpairs[c]
+            e, f = pairs[cid]
             ep, en, fp, fn = prev[c, e], nxt[c, e], prev[c, f], nxt[c, f]
-            if orientations.get(cid, 0) == 0:
+            if bits.get(cid, 0) == 0:
                 self.rot[xnode(c)] = [ep, fp, en, fn]
             else:
                 self.rot[xnode(c)] = [ep, fn, en, fp]
@@ -292,14 +263,13 @@ class Emb:
                 prev_dart[(node, edge)] = (sid, 1)
             seqs[edge] = tuple(cids)
         orients = {}
-        for cid, pair in self.xpairs.items():
-            e, f = sorted(pair)
-            node = xnode(cid)
-            ring = self.rot[node]
-            e_prev = prev_dart[(node, e)]
-            f_prev = prev_dart[(node, f)]
-            i = ring.index(e_prev)
-            orients[cid] = 0 if ring[(i + 1) % 4] == f_prev else 1
+        for node, ring in self.rot.items():
+            if node[0] == "x":
+                # a dummy's first two darts lie on its two edges
+                e, f = sorted((self.edge_of(ring[0]), self.edge_of(ring[1])))
+                i = ring.index(prev_dart[node, e])
+                orients[node[1]] = (
+                    0 if ring[(i + 1) % 4] == prev_dart[node, f] else 1)
         return seqs, orients
 
     def to_drawing(self, graph):

@@ -263,7 +263,12 @@ class AbstractClustering:
     k: int
     reps: tuple  # RepSpec tuple in group order
     drawing: CombinatorialDrawing
-    r: int  # crossings of the subdrawing induced by the cover
+
+    @property
+    def r(self) -> int:
+        """Crossings of the subdrawing induced by the cover."""
+        return sum(1 for e, f in self.drawing.crossing_pairs.values()
+                   if max(e) < self.k and max(f) < self.k)
 
     @property
     def groups(self) -> tuple:
@@ -277,17 +282,6 @@ class AbstractClustering:
         return tuple((m, tuple(ix)) for m, ix in out)
 
 
-def _cover_crossings(drawing: CombinatorialDrawing, k: int) -> int:
-    n = 0
-    for e, f in drawing.crossing_pairs.values():
-        if max(e) < k and max(f) < k:
-            n += 1
-    return n
-
-
 def clustering_from_emb(rep_set, host, emb) -> AbstractClustering:
     """The clustering of `rep_set` drawn by `emb`, a drawing of `host`."""
-    d = emb.to_drawing(host)
-    return AbstractClustering(
-        rep_set.k, rep_set.reps, d, _cover_crossings(d, rep_set.k)
-    )
+    return AbstractClustering(rep_set.k, rep_set.reps, emb.to_drawing(host))

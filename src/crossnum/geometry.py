@@ -86,8 +86,7 @@ def drawing_from_points(graph: Graph, pos: dict) -> CombinatorialDrawing:
             if _on_open_segment(pts[w], pts[e[0]], pts[e[1]]):
                 raise DegenerateDrawing(f"vertex {w} lies on edge {e}")
     hits: dict[tuple, list] = {e: [] for e in edges}
-    points: dict[int, tuple] = {}
-    cid = 0
+    crossings = []  # crossing id -> (edge, later edge, point)
     for i, e in enumerate(edges):
         for f in edges[i + 1 :]:
             inter = _interior_intersection(
@@ -98,13 +97,12 @@ def drawing_from_points(graph: Graph, pos: dict) -> CombinatorialDrawing:
             if set(e) & set(f):
                 raise DegenerateDrawing("adjacent edges cross")
             t, s = inter
-            hits[e].append((t, cid))
-            hits[f].append((s, cid))
+            hits[e].append((t, len(crossings)))
+            hits[f].append((s, len(crossings)))
             px = pts[e[0]][0] + t * (pts[e[1]][0] - pts[e[0]][0])
             py = pts[e[0]][1] + t * (pts[e[1]][1] - pts[e[0]][1])
-            points[cid] = (px, py)
-            cid += 1
-    if len(set(points.values())) != len(points):
+            crossings.append((e, f, (px, py)))
+    if len({p for _, _, p in crossings}) != len(crossings):
         raise DegenerateDrawing("three edges through one point")
     seqs = {}
     for e, lst in hits.items():
@@ -114,14 +112,8 @@ def drawing_from_points(graph: Graph, pos: dict) -> CombinatorialDrawing:
     for v in graph.vertices:
         vecs = [(_sub(pts[w], pts[v]), w) for w in graph.adjacency[v]]
         rots[v] = tuple(tag for _, tag in ccw_sorted(vecs))
-    pair_of: dict[int, list] = {}
-    for e, seq in seqs.items():
-        for c in seq:
-            pair_of.setdefault(c, []).append(e)
     orients = {}
-    for c, es in pair_of.items():
-        e, f = tuple(sorted(es))
-        p = points[c]
+    for c, (e, f, p) in enumerate(crossings):
         dirs = [
             (_sub(pts[e[0]], p), "e_prev"),
             (_sub(pts[e[1]], p), "e_next"),
@@ -134,13 +126,12 @@ def drawing_from_points(graph: Graph, pos: dict) -> CombinatorialDrawing:
     return CombinatorialDrawing.make(graph, seqs, rots, orients)
 
 
-def convex_position_drawing(graph: Graph, order=None) -> CombinatorialDrawing:
-    """Drawing with all vertices in convex position (chord diagram).
-
-    `order` fixes each vertex's slot along the convex curve; defaults to
-    sorted ids.  Perturbs deterministically if a triple point occurs.
+def convex_position_drawing(graph: Graph) -> CombinatorialDrawing:
+    """Drawing with all vertices in convex position (chord diagram), in
+    the order of their ids along the convex curve.  Perturbs
+    deterministically if a triple point occurs.
     """
-    vs = list(order) if order is not None else sorted(graph.vertices)
+    vs = graph.vertices
     eps = Fraction(1, 100000)
     for attempt in range(40):
         # strictly convex positions (t, t^2)

@@ -6,6 +6,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
+import networkx as nx
+
 
 class CoverSizeExceeded(Exception):
     """No vertex cover of the requested size exists."""
@@ -65,24 +67,33 @@ class Graph:
         return ((u, v) if u < v else (v, u)) in self.edge_set
 
     def components(self) -> list[frozenset[int]]:
-        seen: set[int] = set()
-        comps = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            stack, comp = [start], {start}
-            seen.add(start)
-            while stack:
-                for w in self.adjacency[stack.pop()]:
-                    if w not in comp:
-                        comp.add(w)
-                        seen.add(w)
-                        stack.append(w)
-            comps.append(frozenset(comp))
-        return comps
+        return connected_components(self.vertices, self.edges)
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
+
+
+def connected_components(nodes, edges) -> list[frozenset]:
+    """The connected components of the graph on `nodes` whose edges are
+    the node pairs `edges`, in the order of their first node in `nodes`."""
+    adj: dict = {v: [] for v in nodes}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen: set = set()
+    comps = []
+    for start in adj:
+        if start in seen:
+            continue
+        stack, comp = [start], {start}
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
@@ -240,44 +251,47 @@ def expand(cg: CompressedGraph) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# isomorphisms (small graphs only)
+# isomorphisms
 
 
-def isomorphisms(g1: Graph, g2: Graph):
-    """Yield every bijection from g1's vertices onto g2's that keeps
-    adjacency, by degree-pruned backtracking (small graphs)."""
-    vs = g1.vertices
-    if len(vs) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
-        return
-    by_degree: dict[int, list[int]] = {}
-    for w in g2.vertices:
-        by_degree.setdefault(g2.degree(w), []).append(w)
-    mapping: dict[int, int] = {}
-
-    def extend(i):
-        if i == len(vs):
-            yield dict(mapping)
-            return
-        v = vs[i]
-        for w in by_degree.get(g1.degree(v), ()):
-            if w in mapping.values():
-                continue
-            if all(g1.has_edge(v, u) == g2.has_edge(w, mapping[u])
-                   for u in vs[:i]):
-                mapping[v] = w
-                yield from extend(i + 1)
-                del mapping[v]
-
-    yield from extend(0)
+def _nx_graph(g: Graph) -> nx.Graph:
+    ng = nx.Graph()
+    ng.add_nodes_from(g.vertices)
+    ng.add_edges_from(g.edges)
+    return ng
 
 
 def isomorphic(g1: Graph, g2: Graph) -> bool:
-    return next(isomorphisms(g1, g2), None) is not None
+    """Whether g1 and g2 are isomorphic (networkx's VF2)."""
+    return nx.is_isomorphic(_nx_graph(g1), _nx_graph(g2))
 
 
 def automorphisms(g: Graph) -> list[dict[int, int]]:
-    """All automorphisms of g (small graphs)."""
-    return list(isomorphisms(g, g))
+    """All automorphisms of g, by degree-pruned backtracking (small
+    graphs)."""
+    vs = g.vertices
+    by_degree: dict[int, list[int]] = {}
+    for w in vs:
+        by_degree.setdefault(g.degree(w), []).append(w)
+    mapping: dict[int, int] = {}
+    out = []
+
+    def extend(i):
+        if i == len(vs):
+            out.append(dict(mapping))
+            return
+        v = vs[i]
+        for w in by_degree[g.degree(v)]:
+            if w in mapping.values():
+                continue
+            if all(g.has_edge(v, u) == g.has_edge(w, mapping[u])
+                   for u in vs[:i]):
+                mapping[v] = w
+                extend(i + 1)
+                del mapping[v]
+
+    extend(0)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ class IqpCapExceeded(Exception):
 
 
 class ClusteringMismatch(Exception):
-    """A clustering's cover-crossing count disagrees with its drawing."""
+    """A clustering's drawing disagrees with its representatives' tags."""
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,6 @@ def build_iqp(c: AbstractClustering, cg: CompressedGraph) -> IqpInstance:
     groups = tuple(
         (mask, len(ix), h[mask]) for mask, ix in c.groups
     )
-    if r != c.r:
-        raise ClusteringMismatch(
-            f"drawing has {r} cover crossings, the clustering records {c.r}"
-        )
     return IqpInstance(groups, tuple(tuple(row) for row in qm), tuple(p), r)
 
 

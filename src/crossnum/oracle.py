@@ -35,7 +35,7 @@ from operator import add
 
 import networkx as nx
 
-from .graphs import Graph, automorphisms
+from .graphs import Graph, _nx_graph, automorphisms
 
 
 class OracleCeilingExceeded(Exception):
@@ -56,13 +56,6 @@ class OracleConfig:
             raise ValueError("oracle ceilings must be positive")
         if self.max_work < 0:
             raise ValueError("oracle work cap must not be negative")
-
-
-def _nx_graph(g: Graph) -> nx.Graph:
-    ng = nx.Graph()
-    ng.add_nodes_from(g.vertices)
-    ng.add_edges_from(g.edges)
-    return ng
 
 
 def is_planar(g: Graph) -> bool:

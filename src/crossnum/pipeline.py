@@ -24,7 +24,6 @@ from .enumeration import (
     AbstractClustering,
     RepresentativeSet,
     RepSpec,
-    _cover_crossings,
     clustering_from_emb,
     count_rep_sets,
     enumerate_embeddings,
@@ -32,7 +31,7 @@ from .enumeration import (
     mask_members,
 )
 from .geometry import convex_position_drawing
-from .graphs import CompressedGraph, Graph, expand
+from .graphs import CompressedGraph, Graph, connected_components, expand
 from .iqp import ClusteringMismatch, IqpInstance, build_iqp, solve_iqp
 from .oracle import OracleConfig, oracle_cr
 
@@ -42,7 +41,7 @@ class ResourceCapExceeded(Exception):
 
 
 # Crossings plus vertices of the largest drawing assemble_lifted builds:
-# each crossing costs about 1.5 KB and 35 us to lift, and each vertex one
+# each crossing costs about 1.4 KB and 35 us to lift, and each vertex one
 # stacked copy or add_vertex call.  K_{3,998} (249 503) is within it.
 DRAWING_CAP = 250_000
 
@@ -73,8 +72,11 @@ class ComponentResult:
     winner: AbstractClustering
     weights: tuple
     instance: IqpInstance
-    clusterings_seen: int
-    rep_set_counts: tuple
+    rep_set_counts: tuple  # clusterings read per orbit representative
+
+    @property
+    def clusterings_seen(self) -> int:
+        return sum(self.rep_set_counts)
 
 
 @dataclass
@@ -129,9 +131,7 @@ def chord_clustering(cg: CompressedGraph) -> AbstractClustering:
         got = canonical_cycle(drawing.rot_map[spec.vertex])
         if got != canonical_cycle(spec.tag):
             raise ClusteringMismatch(f"convex rotation {got} != tag {spec.tag}")
-    return AbstractClustering(
-        cg.k, reps, drawing, _cover_crossings(drawing, cg.k)
-    )
+    return AbstractClustering(cg.k, reps, drawing)
 
 
 def initial_budget(cg: CompressedGraph) -> int:
@@ -152,40 +152,29 @@ def component_split(cg: CompressedGraph):
     no neighborhood.  Raises ResourceCapExceeded, before building anything,
     when the cover has more than COVER_CAP vertices."""
     _check_cover(cg)
-    parent = list(range(cg.k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    touched = set()
-    for u, v in cg.gx_edges:
-        parent[find(u)] = find(v)
-        touched.update((u, v))
+    # a neighborhood joins its members as a G_X edge joins its ends
+    links = list(cg.gx_edges)
+    touched = {x for e in links for x in e}
     for mask, _ in cg.h:
         ms = mask_members(mask, cg.k)
-        for x in ms[1:]:
-            parent[find(x)] = find(ms[0])
+        links += [(ms[0], x) for x in ms[1:]]
         touched.update(ms)
-    members: dict[int, list[int]] = {}
-    for v in sorted(touched):
-        members.setdefault(find(v), []).append(v)
-    index = {v: i for ms in members.values() for i, v in enumerate(ms)}
-    gx = {root: [] for root in members}
-    h = {root: {} for root in members}
+    members = [sorted(c) for c in connected_components(sorted(touched), links)]
+    # cover vertex v is vertex j of component i
+    where = {v: (i, j) for i, ms in enumerate(members) for j, v in enumerate(ms)}
+    gx = [[] for _ in members]
+    h = [{} for _ in members]
     for u, v in cg.gx_edges:
-        gx[find(u)].append((index[u], index[v]))
+        gx[where[u][0]].append((where[u][1], where[v][1]))
     for mask, count in cg.h:
         ms = mask_members(mask, cg.k)
         if ms:
-            h[find(ms[0])][sum(1 << index[x] for x in ms)] = count
+            h[where[ms[0]][0]][sum(1 << where[x][1] for x in ms)] = count
     comps = [
-        (tuple(ms), CompressedGraph.make(len(ms), gx[root], h[root]))
-        for root, ms in members.items()
+        (tuple(ms), CompressedGraph.make(len(ms), gx[i], h[i]))
+        for i, ms in enumerate(members)
     ]
-    return comps, cg.k - len(index) + cg.h_map.get(0, 0)
+    return comps, cg.k - len(where) + cg.h_map.get(0, 0)
 
 
 def _cl_min(rep_set: RepresentativeSet, cg: CompressedGraph) -> int:
@@ -336,7 +325,7 @@ def _solve_component(cover: tuple, cg: CompressedGraph,
             value, weights, key = sol.value, sol.z, c_key
             winner, instance = c, inst
     return ComponentResult(cover, value, winner, weights, instance,
-                           sum(counts), tuple(counts))
+                           tuple(counts))
 
 
 def crossing_number(cg: CompressedGraph, opts: PipelineOptions | None = None) -> SolveReport:
@@ -435,8 +424,7 @@ def _lift_into(emb: Emb, c: AbstractClustering, z, cover_ids,
             mapping[spec.vertex] = nxt
             stacks.append((nxt, w))
             nxt += w
-    d = c.drawing.relabel(mapping)
-    emb.add_drawing(d.graph, d.seq_map, d.rot_map, dict(d.orientations))
+    emb.add_drawing(c.drawing.relabel(mapping))
     for v, w in stacks:
         for copy in range(v + 1, v + w):
             duplicate_star(emb, v, copy)

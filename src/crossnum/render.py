@@ -12,6 +12,8 @@ import math
 
 from .drawing import CombinatorialDrawing, UnrealizableDrawing, validate_good
 
+SIZE = 420  # width and height of the picture
+
 
 def _layout(emb):
     nodes = sorted(emb.rot)
@@ -59,7 +61,7 @@ def _layout(emb):
     return pos
 
 
-def render_svg(d: CombinatorialDrawing, path=None, size=420) -> str:
+def render_svg(d: CombinatorialDrawing, path=None) -> str:
     """Render the drawing; crossings appear at their dummy coordinates."""
     rep = validate_good(d)
     if not rep.ok:
@@ -68,15 +70,15 @@ def render_svg(d: CombinatorialDrawing, path=None, size=420) -> str:
     pos = _layout(emb)
 
     def sx(p):
-        return (p[0] * 0.42 + 0.5) * size
+        return (p[0] * 0.42 + 0.5) * SIZE
 
     def sy(p):
-        return (p[1] * 0.42 + 0.5) * size
+        return (p[1] * 0.42 + 0.5) * SIZE
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
+        f'height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">',
+        f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>',
     ]
     for sid in sorted(emb.segs):
         a, b, _ = emb.segs[sid]

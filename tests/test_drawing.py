@@ -71,6 +71,31 @@ def test_validate_double_crossing():
     assert not rep.ok and rep.violation == "double crossing"
 
 
+# edges (0, 1) and (2, 3) cross once, and (4, 5) crosses nothing
+SIX = Graph(tuple(range(6)), ((0, 1), (2, 3), (4, 5)))
+SEQS = (((0, 1), (0,)), ((2, 3), (0,)), ((4, 5), ()))
+ROTS = tuple((v, (v ^ 1,)) for v in range(6))
+
+
+@pytest.mark.parametrize("sequences, rotations, violation", [
+    (SEQS + (((0, 2), ()),), ROTS,
+     "sequence table does not match the edge set"),
+    ((((0, 1), (0, 0)),) + SEQS[1:], ROTS, "edge (0, 1) repeats a crossing id"),
+    (SEQS[:1] + (((2, 3), ()),) + SEQS[2:], ROTS,
+     "crossing 0 does not lie on exactly two edges"),
+    (SEQS[:2] + (((4, 5), (0,)),), ROTS,
+     "crossing 0 does not lie on exactly two edges"),
+    (SEQS, ROTS[:-1], "rotation table does not match the vertex set"),
+    (SEQS, ((0, (2,)),) + ROTS[1:],
+     "rotation at 0 is not a permutation of its neighbors"),
+])
+def test_validate_rejects_malformed_tables(sequences, rotations, violation):
+    assert validate_good(CombinatorialDrawing(SIX, SEQS, ROTS, ((0, 0),))).ok
+    rep = validate_good(
+        CombinatorialDrawing(SIX, sequences, rotations, ((0, 0),)))
+    assert rep.ok is False and rep.violation == violation
+
+
 def test_validate_one_crossing_k5_realizable():
     d = one_crossing_k5()
     assert crossing_count(d) == 1
@@ -395,10 +420,12 @@ def test_add_drawing_numbers_crossings_after_those_present():
     shifted = d.relabel({v: v + 10 for v in d.graph.vertices})
     emb = Emb()
     for part in (d, shifted):
-        emb.add_drawing(part.graph, part.seq_map, part.rot_map,
-                        dict(part.orientations))
-    assert sorted(emb.xpairs) == list(range(18))
-    assert all(min(min(pair)) >= 10 for c, pair in emb.xpairs.items() if c >= 9)
+        emb.add_drawing(part)
+    both = Graph(d.graph.vertices + shifted.graph.vertices,
+                 d.graph.edges + shifted.graph.edges)
+    pairs = emb.to_drawing(both).crossing_pairs
+    assert sorted(pairs) == list(range(18))
+    assert all(min(min(pair)) >= 10 for c, pair in pairs.items() if c >= 9)
     assert emb.euler_ok()
 
 

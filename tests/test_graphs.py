@@ -1,5 +1,7 @@
 import itertools
+import time
 
+import networkx as nx
 import pytest
 
 from crossnum.graphs import (
@@ -210,3 +212,15 @@ def test_canonical_form_and_automorphisms():
     assert canonical_form(g1) == canonical_form(g2)
     assert len(automorphisms(complete_graph(4))) == 24
     assert len(automorphisms(complete_bipartite(2, 2))) == 8
+
+
+def test_isomorphic_is_fast_on_cubic_graphs():
+    # non-isomorphic graphs with one degree sequence: backtracking over
+    # degree classes took seconds on pairs like these
+    g1, g2 = (Graph.from_edges(nx.random_regular_graph(3, 20, seed=s).edges)
+              for s in (1, 2))
+    start = time.perf_counter()
+    assert isomorphic(g1, g2) is False
+    assert time.perf_counter() - start < 1.0
+    flipped = Graph.from_edges([(19 - u, 19 - v) for u, v in g1.edges])
+    assert isomorphic(g1, flipped) is True

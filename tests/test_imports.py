@@ -1,5 +1,7 @@
-"""Every name a package module imports is used in that module, and every
-private helper of the package has a caller."""
+"""Every name a package module imports is used in that module, every
+private helper of the package has a caller, and every public function,
+class and method of the package is read by the package, its tests or its
+benchmark."""
 
 import ast
 from collections import Counter
@@ -7,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "crossnum"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "crossnum"
 MODULES = sorted(PACKAGE.glob("*.py"))
+READERS = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted(
+    (ROOT / "perfbench").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -37,14 +42,17 @@ def _named(tree) -> Counter:
     )
 
 
-def _private_defs(tree):
-    """Module-level functions and classes, and methods, whose names start
-    with one underscore."""
+def _defs(tree):
+    """Module-level functions and classes, and methods."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     tops = [n for n in tree.body if isinstance(n, kinds)]
-    methods = [n for c in tops if isinstance(c, ast.ClassDef)
-               for n in c.body if isinstance(n, kinds)]
-    return [n for n in tops + methods
+    return tops + [n for c in tops if isinstance(c, ast.ClassDef)
+                   for n in c.body if isinstance(n, kinds)]
+
+
+def _private_defs(tree):
+    """The defs whose names start with one underscore."""
+    return [n for n in _defs(tree)
             if n.name.startswith("_") and not n.name.startswith("__")]
 
 
@@ -56,3 +64,13 @@ def test_private_helper_has_a_caller(path):
         if named[d.name] == _named(d)[d.name]
     ]
     assert uncalled == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_public_name_is_read(path):
+    named = sum((_named(ast.parse(p.read_text())) for p in READERS), Counter())
+    unread = [
+        d.name for d in _defs(ast.parse(path.read_text()))
+        if not d.name.startswith("_") and named[d.name] == _named(d)[d.name]
+    ]
+    assert unread == []

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from crossnum.drawing import crossing_count, drawing_to_text, validate_good, zee
+from crossnum.drawing import (
+    GoodnessReport,
+    crossing_count,
+    drawing_to_text,
+    validate_good,
+    zee,
+)
 from crossnum.embedding import Emb
 from crossnum.geometry import convex_position_drawing
 from crossnum.graphs import (
@@ -258,6 +264,21 @@ def test_verify_detects_tampering():
     rep.value -= 1
     res = verify(rep, cg)
     assert not res.ok and "lift count" in res.detail
+
+
+@pytest.mark.parametrize("name, fake, detail", [
+    ("validate_good", lambda d: GoodnessReport(False, "broken"),
+     "lifted drawing invalid: broken"),
+    ("oracle_cr", lambda g, cfg: 2, "oracle disagrees (2 != 1)"),
+])
+def test_verify_fails_when_a_check_disagrees(monkeypatch, name, fake, detail):
+    from crossnum import pipeline
+
+    cg = CompressedGraph.make(3, (), {7: 3})
+    rep = crossing_number(cg)
+    monkeypatch.setattr(pipeline, name, fake)
+    res = verify(rep, cg)
+    assert res.ok is False and res.detail == detail
 
 
 def test_k3n_closed_form_small_and_huge():
