@@ -3,6 +3,7 @@ from pathlib import Path
 from crossnum.drawing import (
     canonical_cycle,
     crossing_count,
+    drawing_from_text,
     drawing_to_text,
     structural_key,
     validate_good,
@@ -202,6 +203,33 @@ def test_completeness_against_oracle_drawings():
             for i, (_, _, rep) in enumerate(reps):
                 mapping[rep] = len(cover) + i
             assert structural_key(d.relabel(mapping)) in emitted
+
+
+def test_tags_equal_the_untagged_stream_filtered():
+    """Tags at either end of an edge, including its smaller end, which the
+    solver never tags: the tagged stream is the untagged one filtered to
+    the drawings whose rotation at each tagged vertex is its tag."""
+    from crossnum.graphs import complete_graph
+
+    cases = [
+        (complete_graph(5), {0: (1, 2, 3, 4)}, 1, 5, 30),
+        (complete_graph(5), {0: (1, 3, 2, 4), 2: (0, 1, 3, 4)}, 1, 1, 30),
+        (complete_bipartite(3, 3), {0: (3, 5, 4)}, 2, 18, 36),
+        (complete_bipartite(3, 3), {0: (3, 4)}, 2, 0, 36),
+    ]
+    for graph, tags, budget, kept, total in cases:
+        def texts(fixed):
+            return [drawing_to_text(emb.to_drawing(graph)) for emb in
+                    enumerate_embeddings(graph, fixed, lambda: budget)]
+
+        def fits(d):
+            return all(canonical_cycle(d.rot_map[w]) == canonical_cycle(tag)
+                       for w, tag in tags.items())
+
+        untagged = texts(None)
+        filtered = [t for t in untagged if fits(drawing_from_text(t))]
+        assert (len(filtered), len(untagged)) == (kept, total)
+        assert texts(tags) == filtered
 
 
 def test_router_rejects_disconnected_hosts():

@@ -104,6 +104,28 @@ def test_chord_clustering_is_valid():
     assert len(c.reps) == 3
 
 
+def test_chord_clustering_perturbs_a_triple_point():
+    # five one- and two-vertex neighbourhoods on a 4-cover put three chords
+    # through one point at the positions (i, i^2), so the drawing comes
+    # from a perturbed attempt
+    import hashlib
+
+    from crossnum.geometry import DegenerateDrawing, drawing_from_points
+
+    cg = parse_compressed("4\nh 1 1\nh 3 1\nh 4 1\nh 5 1\nh 9 1\n")
+    c = chord_clustering(cg)
+    host = c.drawing.graph
+    with pytest.raises(DegenerateDrawing, match="three edges through one"):
+        drawing_from_points(host, {v: (v, v * v) for v in host.vertices})
+    assert validate_good(c.drawing).ok
+    for spec in c.reps:
+        assert c.drawing.rot_map[spec.vertex] == spec.tag
+    assert initial_budget(cg) == 13
+    text = drawing_to_text(c.drawing).encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "551fe9d077de6fa5ef82d95576e84ef5a847ce65183f3f5c7674c50e64f87e7d")
+
+
 def test_internal_checks_raise_typed_errors(monkeypatch):
     # these checks were asserts, which vanish under `python -O`
     from dataclasses import replace
