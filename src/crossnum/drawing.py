@@ -139,19 +139,14 @@ def validate_good(d: CombinatorialDrawing) -> GoodnessReport:
     msg = _structural_violation(d)
     if msg:
         return GoodnessReport(False, msg)
-    pairs = d.crossing_pairs
-    for c, (e, f) in sorted(pairs.items()):
-        if set(e) & set(f):
-            return GoodnessReport(False, "adjacent crossing")
-    seen_pairs = {}
-    for c, pr in sorted(pairs.items()):
-        if pr in seen_pairs:
-            return GoodnessReport(False, "double crossing")
-        seen_pairs[pr] = c
-    # realizability
-    emb = d.emb()
-    emb.validate_structure()
-    if not emb.euler_ok():
+    pairs = d.crossing_pairs.values()
+    if any(set(e) & set(f) for e, f in pairs):
+        return GoodnessReport(False, "adjacent crossing")
+    if len(set(pairs)) != len(pairs):
+        return GoodnessReport(False, "double crossing")
+    # an accepted table gives a well-formed embedding, so only the sphere
+    # property is left to check
+    if not d.emb().euler_ok():
         return GoodnessReport(False, "unrealizable rotation/crossing structure")
     return GoodnessReport(True)
 

@@ -280,26 +280,3 @@ class Emb:
         seqs, orients = self.drawing_data()
         rots = {v: self.vertex_rotation(v) for v in graph.vertices}
         return CombinatorialDrawing.make(graph, seqs, rots, orients)
-
-    def validate_structure(self):
-        """Raise ValueError unless rings, chains and darts fit together."""
-        for node, ring in self.rot.items():
-            if any(self.tail(d) != node for d in ring):
-                raise ValueError(f"rotation at {node} holds a foreign dart")
-            if len(set(ring)) != len(ring):
-                raise ValueError(f"duplicate dart at {node}")
-            if node[0] == "x":
-                edges = [self.edge_of(d) for d in ring]
-                if (len(ring) != 4 or edges[0] != edges[2]
-                        or edges[1] != edges[3] or edges[0] == edges[1]):
-                    raise ValueError(f"dummy {node} does not cross two edges")
-        for edge, chain in self.chains.items():
-            ends = [self.segs[sid] for sid in chain]
-            if (ends[0][0] != vnode(edge[0]) or ends[-1][1] != vnode(edge[1])
-                    or any(p[1] != q[0] for p, q in zip(ends, ends[1:]))):
-                raise ValueError(f"chain of {edge} is not a path")
-        darts = set(self.all_darts())
-        in_rings = {d for ring in self.rot.values() for d in ring}
-        if darts != in_rings:
-            raise ValueError("rotation rings do not cover all darts")
-

@@ -130,19 +130,6 @@ def _connected_edge_order(graph: Graph) -> list[tuple]:
     return order
 
 
-def _cyclic_subsequence(partial: tuple, tag: tuple) -> bool:
-    """True iff `partial` is a cyclic subsequence of cyclic `tag`."""
-    n = len(tag)
-    if len(partial) <= 2:
-        return set(partial) <= set(tag)
-    for off in range(n):
-        rot = tag[off:] + tag[:off]
-        it = iter(rot)
-        if all(x in it for x in partial):
-            return True
-    return False
-
-
 class _Router:
     """DFS over face-guided insertions of the host graph's edges.
 
@@ -159,14 +146,7 @@ class _Router:
         self.graph = graph
         self.bound_fn = bound_fn
         self.order = _connected_edge_order(graph)
-        # Drawing an edge changes only the rotations at its two ends (a
-        # crossing replaces a dart in place), so each route is checked
-        # against the tags of those ends alone.  After a tagged vertex's
-        # last edge its rotation is a full-length cyclic subsequence of the
-        # tag, that is, the tag itself, so a leaf needs no check.
-        fixed = fixed_rotations or {}
-        self.tagged = [[(w, fixed[w]) for w in e if w in fixed]
-                       for e in self.order]
+        self.tags = fixed_rotations or {}
 
     def run(self):
         emb = Emb()
@@ -183,39 +163,55 @@ class _Router:
         if budget_left < 0:
             return
         for child in self._route(emb, edge, budget_left):
-            if all(_cyclic_subsequence(child.vertex_rotation(w), tag)
-                   for w, tag in self.tagged[idx]):
-                yield from self._place(child, idx + 1)
+            yield from self._place(child, idx + 1)
 
     # -- incremental routing ------------------------------------------------
 
+    def _gaps(self, emb, w, other):
+        """The gaps of `w`'s ring (gap i lies before dart i; an empty ring
+        has gap 0) where an edge toward `other` may enter.  A tag allows
+        only the gap before the drawn neighbour that follows `other` in it,
+        so the drawn neighbours stay in the tag's cyclic order."""
+        tag = self.tags.get(w)
+        if tag is None:
+            return range(max(len(emb.rot[vnode(w)]), 1))
+        if other not in tag:
+            return ()
+        drawn = emb.vertex_rotation(w)
+        i = tag.index(other)
+        after = [x for x in tag[i + 1:] + tag[:i] if x in drawn]
+        return (drawn.index(after[0]) if after else 0,)
+
     def _route(self, emb, edge, budget_left):
-        """Yield copies of `emb` with `edge` drawn, one per distinct route."""
-        ring_u = emb.rot[vnode(edge[0])]
+        """Yield copies of `emb` with `edge` drawn, one per distinct route.
+
+        The route never crosses an edge at `edge[1]`, so that vertex's ring,
+        and with it the gaps the route may end at, stay fixed throughout."""
+        u, v = edge
+        gaps, ends = self._gaps(emb, u, v), self._gaps(emb, v, u)
+        if not gaps or not ends:
+            return
+        ring_u = emb.rot[vnode(u)]
         if ring_u:
-            starts = [(pos, emb.face_at(d)) for pos, d in enumerate(ring_u)]
+            starts = [(pos, emb.face_at(ring_u[pos])) for pos in gaps]
         else:
             starts = [(0, cycle) for cycle in emb.faces()] or [(0, ())]
         for pos, cycle in starts:
             yield from self._grow(
-                emb, edge, vnode(edge[0]), pos, cycle, frozenset(), budget_left
+                emb, edge, ends, vnode(u), pos, cycle, frozenset(), budget_left
             )
 
-    def _grow(self, emb, edge, node, pos, cycle, crossed, budget):
+    def _grow(self, emb, edge, ends, node, pos, cycle, crossed, budget):
         """Extend the partial route ending at `node` (ring gap `pos`) inside
-        the face `cycle`, which is () while nothing is drawn."""
+        the face `cycle`, which is () while nothing is drawn, and finish it
+        at each gap of `ends` that the face reaches."""
         ring_v = emb.rot[vnode(edge[1])]
-        if not ring_v:
-            child = emb.copy()
-            child.finish_edge(edge, node, pos, 0)
-            yield child
-        else:
-            on_face = set(cycle)
-            for end_pos in range(len(ring_v)):
-                if ring_v[end_pos] in on_face:
-                    child = emb.copy()
-                    child.finish_edge(edge, node, pos, end_pos)
-                    yield child
+        on_face = set(cycle)
+        for end_pos in ends:
+            if not ring_v or ring_v[end_pos] in on_face:
+                child = emb.copy()
+                child.finish_edge(edge, node, pos, end_pos)
+                yield child
         if budget <= len(crossed):
             return
         u, v = edge
@@ -228,7 +224,7 @@ class _Router:
             x = child.cross_dart(edge, node, pos, dart)
             # the route continues in the face of the dummy's open slot
             yield from self._grow(
-                child, edge, x, None, child.face_at(child.rot[x][1]),
+                child, edge, ends, x, None, child.face_at(child.rot[x][1]),
                 crossed | {g}, budget,
             )
 

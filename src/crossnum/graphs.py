@@ -39,11 +39,12 @@ class Graph:
 
     @staticmethod
     def from_edges(edges, extra_vertices=()) -> "Graph":
+        edges = tuple(edges)  # read once: `edges` may be a generator
         vs = set(extra_vertices)
         for u, v in edges:
             vs.add(u)
             vs.add(v)
-        return Graph(tuple(sorted(vs)), tuple(edges))
+        return Graph(tuple(sorted(vs)), edges)
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:

@@ -1,8 +1,33 @@
-"""Reference equivalence key for the drawing tests: the planarization's
-traced faces, which `crossnum.drawing.structural_key` is checked against."""
+"""References for the drawing tests: the planarization's traced faces,
+which `crossnum.drawing.structural_key` is checked against, and the
+structural invariants of an embedding, which `Emb.add_drawing` meets by
+construction on every table that `validate_good` accepts."""
 
 from crossnum.drawing import CombinatorialDrawing
-from crossnum.embedding import Emb
+from crossnum.embedding import Emb, vnode
+
+
+def validate_structure(emb: Emb):
+    """Raise ValueError unless rings, chains and darts fit together."""
+    for node, ring in emb.rot.items():
+        if any(emb.tail(d) != node for d in ring):
+            raise ValueError(f"rotation at {node} holds a foreign dart")
+        if len(set(ring)) != len(ring):
+            raise ValueError(f"duplicate dart at {node}")
+        if node[0] == "x":
+            edges = [emb.edge_of(d) for d in ring]
+            if (len(ring) != 4 or edges[0] != edges[2]
+                    or edges[1] != edges[3] or edges[0] == edges[1]):
+                raise ValueError(f"dummy {node} does not cross two edges")
+    for edge, chain in emb.chains.items():
+        ends = [emb.segs[sid] for sid in chain]
+        if (ends[0][0] != vnode(edge[0]) or ends[-1][1] != vnode(edge[1])
+                or any(p[1] != q[0] for p, q in zip(ends, ends[1:]))):
+            raise ValueError(f"chain of {edge} is not a path")
+    darts = set(emb.all_darts())
+    in_rings = {d for ring in emb.rot.values() for d in ring}
+    if darts != in_rings:
+        raise ValueError("rotation rings do not cover all darts")
 
 
 def _canonical_dart(emb: Emb, dart):

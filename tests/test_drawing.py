@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -24,10 +25,11 @@ from cluster_reference import (
     clusters,
     noncluster_count,
 )
-from drawing_reference import canonical_key
+from drawing_reference import canonical_key, validate_structure
 from oracle_reference import oracle_drawings
 
 F = Fraction
+GOLDEN = Path(__file__).parent / "data"
 
 
 def one_crossing_k5():
@@ -133,12 +135,26 @@ def _cut_chain(emb):
     _swap_dummy_halves, _drop_vertex_dart, _repeat_vertex_dart, _cut_chain,
 ])
 def test_validate_structure_raises_typed_error(breaker):
-    # a typed error, not an assert that `python -O` strips
+    # each hand-broken embedding breaks one invariant the checker covers
     emb = one_crossing_k5().emb()
-    emb.validate_structure()
+    validate_structure(emb)
     breaker(emb)
     with pytest.raises(ValueError):
-        emb.validate_structure()
+        validate_structure(emb)
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in GOLDEN.glob("*.txt")
+    if p.name.startswith(("lifted_", "dump_"))))
+def test_golden_drawings_build_well_formed_embeddings(name):
+    # validate_good leaves these invariants to Emb.add_drawing
+    texts = (GOLDEN / name).read_text().split("drawing\n")[1:]
+    assert len(texts) == {"dump_k33_b3.txt": 21,
+                          "dump_c4p3_b2.txt": 111}.get(name, 1)
+    for text in texts:
+        d = drawing_from_text(text)
+        assert validate_good(d).ok
+        validate_structure(d.emb())
 
 
 def test_validate_unrealizable():

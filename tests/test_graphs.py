@@ -199,6 +199,12 @@ def test_compressed_rejects_repeated_gx_edge():
     assert parse_compressed("3\nh 7 2\nh 7 3\n").h_map == {7: 5}
 
 
+def test_from_edges_reads_a_generator_once():
+    g = Graph.from_edges((u, u + 1) for u in range(4))
+    assert g.vertices == (0, 1, 2, 3, 4)
+    assert g.edges == ((0, 1), (1, 2), (2, 3), (3, 4))
+
+
 def test_compressed_format_round_trip():
     cg = CompressedGraph.make(3, ((0, 1),), {7: 5, 5: 3})
     assert parse_compressed(format_compressed(cg)) == cg
