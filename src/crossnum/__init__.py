@@ -3,20 +3,18 @@
 from .drawing import (
     CombinatorialDrawing,
     crossing_count,
-    equivalent,
     validate_good,
     zee,
 )
 from .graphs import (
     CompressedGraph,
     Graph,
-    VertexCover,
     compress,
     expand,
     find_vertex_cover,
 )
 from .oracle import OracleConfig, oracle_cr
-from .pipeline import PipelineOptions, crossing_number, initial_budget, lift, verify
+from .pipeline import PipelineOptions, crossing_number, initial_budget, verify
 
 __version__ = "0.1.0"
 
@@ -26,15 +24,12 @@ __all__ = [
     "Graph",
     "OracleConfig",
     "PipelineOptions",
-    "VertexCover",
     "compress",
     "crossing_count",
     "crossing_number",
-    "equivalent",
     "expand",
     "find_vertex_cover",
     "initial_budget",
-    "lift",
     "oracle_cr",
     "validate_good",
     "verify",

@@ -54,10 +54,6 @@ class CombinatorialDrawing:
         )
 
     @property
-    def seq_map(self) -> dict:
-        return dict(self.sequences)
-
-    @property
     def rot_map(self) -> dict:
         return dict(self.rotations)
 
@@ -170,12 +166,6 @@ def structural_key(d: CombinatorialDrawing):
     )
     ori = tuple(sorted((pairs[c], b) for c, b in d.orientations))
     return (seq_key, d.rotations, ori)
-
-
-def equivalent(d1: CombinatorialDrawing, d2: CombinatorialDrawing) -> bool:
-    if d1.graph.edges != d2.graph.edges or d1.graph.vertices != d2.graph.vertices:
-        raise ValueError("equivalence requires the same underlying graph")
-    return structural_key(d1) == structural_key(d2)
 
 
 def canonical_cycle(t: tuple) -> tuple:

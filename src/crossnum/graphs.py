@@ -61,9 +61,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def neighborhood(self, v: int) -> frozenset[int]:
-        return frozenset(self.adjacency[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edge_set
 
@@ -111,18 +108,6 @@ def complete_graph(n: int) -> Graph:
 # vertex covers
 
 
-@dataclass(frozen=True)
-class VertexCover:
-    cover: frozenset[int]
-
-    @property
-    def size(self) -> int:
-        return len(self.cover)
-
-    def covers(self, g: Graph) -> bool:
-        return all(u in self.cover or v in self.cover for u, v in g.edges)
-
-
 def _cover_search(edges, chosen, budget):
     """The least sorted cover of the remaining edges that adds exactly
     `budget` picks to `chosen`, or None."""
@@ -141,7 +126,7 @@ def _cover_search(edges, chosen, budget):
     return best
 
 
-def find_vertex_cover(g: Graph, k_max: int) -> VertexCover:
+def find_vertex_cover(g: Graph, k_max: int) -> frozenset[int]:
     """Minimum vertex cover via edge branching, capped at size k_max.
 
     Each connected component is searched on its own, within what the
@@ -164,7 +149,7 @@ def find_vertex_cover(g: Graph, k_max: int) -> VertexCover:
                 break
         else:
             raise CoverSizeExceeded(f"no vertex cover of size <= {k_max}")
-    return VertexCover(frozenset(cover))
+    return frozenset(cover)
 
 
 # ---------------------------------------------------------------------------
@@ -213,22 +198,22 @@ class CompressedGraph:
         return CompressedGraph(k, tuple(gx_edges), items)
 
 
-def compress(g: Graph, x: VertexCover) -> CompressedGraph:
+def compress(g: Graph, cover: frozenset[int]) -> CompressedGraph:
     """Collapse non-cover vertices into neighborhood-multiplicity counts."""
     for u, v in g.edges:
-        if u not in x.cover and v not in x.cover:
+        if u not in cover and v not in cover:
             raise ValueError(f"edge ({u},{v}) has no end in the cover")
-    order = sorted(x.cover)
+    order = sorted(cover)
     index = {v: i for i, v in enumerate(order)}
     gx = [
         (index[u], index[v])
         for u, v in g.edges
-        if u in x.cover and v in x.cover
+        if u in cover and v in cover
     ]
     gx = [(a, b) if a < b else (b, a) for a, b in gx]
     h: dict[int, int] = {}
     for v in g.vertices:
-        if v in x.cover:
+        if v in cover:
             continue
         mask = 0
         for w in g.adjacency[v]:

@@ -262,7 +262,8 @@ def clustering_stream(cg: CompressedGraph, rep_sets, budget, cap: int):
     turn, in router DFS order, pairwise distinct.  `budget(i)` is re-read
     at every router step, so the caller may tighten it as the stream runs;
     a rep set whose budget is already negative is skipped.  Raises
-    ResourceCapExceeded when a clustering beyond the first `cap` exists.
+    ResourceCapExceeded when a clustering beyond the first `cap` exists,
+    and when the router's nested generators outgrow the recursion limit.
     """
     seen = 0
     for i, rs in enumerate(rep_sets):
@@ -270,13 +271,18 @@ def clustering_stream(cg: CompressedGraph, rep_sets, budget, cap: int):
         if bound() < 0:
             continue
         host = rs.host_graph(cg.gx_edges)
-        for emb in enumerate_embeddings(host, rs.tags_by_vertex(), bound):
-            seen += 1
-            if seen > cap:
-                raise ResourceCapExceeded(
-                    f"clustering cap hit: more than {cap} clusterings"
-                )
-            yield i, clustering_from_emb(rs, host, emb)
+        try:
+            for emb in enumerate_embeddings(host, rs.tags_by_vertex(), bound):
+                seen += 1
+                if seen > cap:
+                    raise ResourceCapExceeded(
+                        f"clustering cap hit: more than {cap} clusterings"
+                    )
+                yield i, clustering_from_emb(rs, host, emb)
+        except RecursionError:
+            raise ResourceCapExceeded(
+                f"router depth cap hit: the recursion limit is too low to "
+                f"route a host graph of {len(host.edges)} edges") from None
 
 
 def _check_cover(cg: CompressedGraph):
@@ -410,44 +416,6 @@ def duplicate_star(emb: Emb, v: int, v_new: int):
                         len(emb.rot[vnode(v_new)]))
 
 
-def _lift_into(emb: Emb, c: AbstractClustering, z, cover_ids,
-               first_id) -> int:
-    """Add c to `emb` with each representative replaced by z stacked
-    copies, under final vertex ids: cover vertex i becomes cover_ids[i] and
-    the copies take ids first_id, first_id + 1, ... in representative
-    order.  Returns the next free id."""
-    mapping = dict(enumerate(cover_ids))
-    stacks = []
-    nxt = first_id
-    for spec, w in zip(c.reps, z):
-        if w:
-            mapping[spec.vertex] = nxt
-            stacks.append((nxt, w))
-            nxt += w
-    emb.add_drawing(c.drawing.relabel(mapping))
-    for v, w in stacks:
-        for copy in range(v + 1, v + w):
-            duplicate_star(emb, v, copy)
-    return nxt
-
-
-def _lifted_drawing(emb: Emb, n: int) -> CombinatorialDrawing:
-    """The drawing of a lift on vertices 0..n-1, after one sphere check."""
-    if not emb.euler_ok():
-        raise UnrealizableDrawing("stacked copies broke the sphere embedding")
-    return emb.to_drawing(Graph(tuple(range(n)), tuple(sorted(emb.chains))))
-
-
-def lift(c: AbstractClustering, z) -> CombinatorialDrawing:
-    """Replace each representative by z parallel stacked copies.
-
-    Copies are labeled k, k+1, ... in representative order; the total
-    crossing count equals the instance's true value at z.
-    """
-    emb = Emb()
-    return _lifted_drawing(emb, _lift_into(emb, c, z, range(c.k), c.k))
-
-
 def assemble_lifted(cg: CompressedGraph, report: SolveReport) -> CombinatorialDrawing:
     """Lift every component winner into one embedding, with the vertices
     without an edge added on their own: the cover keeps ids 0..k-1, each
@@ -465,12 +433,25 @@ def assemble_lifted(cg: CompressedGraph, report: SolveReport) -> CombinatorialDr
     emb = Emb()
     nxt = cg.k
     for res in report.components:
-        nxt = _lift_into(emb, res.winner, res.weights, res.cover, nxt)
+        # cover vertex i becomes res.cover[i]; the copies take fresh ids
+        mapping = dict(enumerate(res.cover))
+        stacks = []
+        for spec, w in zip(res.winner.reps, res.weights):
+            if w:
+                mapping[spec.vertex] = nxt
+                stacks.append((nxt, w))
+                nxt += w
+        emb.add_drawing(res.winner.drawing.relabel(mapping))
+        for v, w in stacks:
+            for copy in range(v + 1, v + w):
+                duplicate_star(emb, v, copy)
     # each class's weights sum to its count, so the ids end at n - 1; the
     # empty neighborhood's vertices and edgeless cover vertices join here
     for u in range(n):
         emb.add_vertex(u)
-    return _lifted_drawing(emb, n)
+    if not emb.euler_ok():
+        raise UnrealizableDrawing("stacked copies broke the sphere embedding")
+    return emb.to_drawing(Graph(tuple(range(n)), tuple(sorted(emb.chains))))
 
 
 # ---------------------------------------------------------------------------

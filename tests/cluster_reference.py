@@ -34,7 +34,7 @@ def clusters(d: CombinatorialDrawing, cover: frozenset) -> ClusterPartition:
     for v in d.graph.vertices:
         if v in cover:
             continue
-        nb = d.graph.neighborhood(v)
+        nb = frozenset(d.graph.adjacency[v])
         if not nb <= cover:
             raise ValueError(f"{cover} is not a vertex cover of the drawing")
         key = (tuple(sorted(nb)), canonical_cycle(rots[v]))

@@ -401,3 +401,25 @@ def test_cover_search_is_linear_in_a_matching(tmp_path):
         capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (EXIT_OK, "0\n"), proc.stderr
+
+
+@pytest.mark.parametrize("mode", ["solve", "verify", "dump-clusterings"])
+def test_router_recursion_fails_closed(tmp_path, mode):
+    """The router nests one generator per drawn edge and one per crossing
+    of the route in progress.  With the recursion limit 25 frames above
+    the caller's, C4+3 outgrows it inside the router, which must end in
+    the cap exit with one error line, not a RecursionError traceback."""
+    p = tmp_path / "c4p3.txt"
+    p.write_text("4\ngx 0 1\ngx 1 2\ngx 2 3\ngx 0 3\nh 15 3\n")
+    code = (
+        "import inspect, sys\n"
+        "import crossnum.cli\n"
+        "sys.setrecursionlimit(len(inspect.stack()) + 25)\n"
+        f"sys.exit(crossnum.cli.main([{str(p)!r}, '--format', 'compressed',"
+        f" '--mode', {mode!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_CAP, proc.stderr
+    assert proc.stderr.startswith("error: router depth cap hit: ")
+    assert proc.stderr.count("\n") == 1

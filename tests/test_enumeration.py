@@ -16,7 +16,6 @@ from crossnum.enumeration import (
 )
 from crossnum.graphs import (
     CompressedGraph,
-    VertexCover,
     compress,
     complete_bipartite,
 )
@@ -180,7 +179,7 @@ def test_completeness_against_oracle_drawings():
         (complete_bipartite(3, 3), frozenset({0, 1, 2}), 2),
     ]
     for g, cover, cap in cases:
-        cg = compress(g, VertexCover(cover))
+        cg = compress(g, cover)
         emitted = {}
         for c in enumerate_clusterings(cg, cap + 1):
             emitted[structural_key(c.drawing)] = c

@@ -8,7 +8,6 @@ from crossnum.graphs import (
     CompressedGraph,
     CoverSizeExceeded,
     Graph,
-    VertexCover,
     automorphisms,
     complete_bipartite,
     complete_graph,
@@ -53,25 +52,25 @@ def test_graph_rejects_loops_and_duplicates():
 
 def test_cover_path():
     g = Graph((0, 1, 2), ((0, 1), (1, 2)))
-    assert find_vertex_cover(g, 3).cover == frozenset({1})
+    assert find_vertex_cover(g, 3) == frozenset({1})
 
 
 def test_cover_k33_brute_force_agrees():
     g = complete_bipartite(3, 3)
     want = minimum_cover_size_bruteforce(g)
     got = find_vertex_cover(g, 6)
-    assert got.size == want == 3
-    assert got.covers(g)
+    assert len(got) == want == 3
+    assert all(u in got or v in got for u, v in g.edges)
     sides = ({0, 1, 2}, {3, 4, 5})
-    assert set(got.cover) in sides
+    assert set(got) in sides
 
 
 def test_cover_k5_brute_force_agrees():
     g = complete_graph(5)
     want = minimum_cover_size_bruteforce(g)
     got = find_vertex_cover(g, 5)
-    assert got.size == want == 4
-    assert got.covers(g)
+    assert len(got) == want == 4
+    assert all(u in got or v in got for u, v in g.edges)
 
 
 def test_cover_size_exceeded():
@@ -82,7 +81,7 @@ def test_cover_size_exceeded():
 def test_cover_lexicographic_tiebreak():
     # 4-cycle: minimum covers {0,2} and {1,3}; lexicographically least wins
     g = Graph((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3), (0, 3)))
-    assert sorted(find_vertex_cover(g, 4).cover) == [0, 2]
+    assert sorted(find_vertex_cover(g, 4)) == [0, 2]
 
 
 def test_cover_minimality_exhaustive_small():
@@ -104,12 +103,12 @@ def test_cover_minimality_exhaustive_small():
             pool.append(Graph(tuple(range(n)), tuple(edges)))
     for g in pool:
         want = minimum_cover_size_bruteforce(g)
-        assert find_vertex_cover(g, len(g.vertices)).size == want
+        assert len(find_vertex_cover(g, len(g.vertices))) == want
 
 
 def test_compress_fig2():
     g = fig2_graph()
-    cg = compress(g, VertexCover(frozenset({0, 1, 2})))
+    cg = compress(g, frozenset({0, 1, 2}))
     assert cg.k == 3
     assert cg.gx_edges == ((0, 1), (0, 2), (1, 2))
     assert cg.h_map == {7: 5, 5: 3}
@@ -117,21 +116,21 @@ def test_compress_fig2():
 
 def test_compress_k3n():
     g = complete_bipartite(3, 6)
-    cg = compress(g, VertexCover(frozenset({0, 1, 2})))
+    cg = compress(g, frozenset({0, 1, 2}))
     assert cg.gx_edges == ()
     assert cg.h_map == {7: 6}
 
 
 def test_compress_empty_cover_isolated():
     g = Graph((0, 1, 2, 3), ())
-    cg = compress(g, VertexCover(frozenset()))
+    cg = compress(g, frozenset())
     assert cg.k == 0 and cg.h_map == {0: 4}
 
 
 def test_compress_rejects_non_cover():
     g = complete_bipartite(2, 2)
     with pytest.raises(ValueError):
-        compress(g, VertexCover(frozenset({0})))
+        compress(g, frozenset({0}))
 
 
 def test_expand_k23():
@@ -141,7 +140,7 @@ def test_expand_k23():
 
 def test_expand_fig2_edge_count():
     g = fig2_graph()
-    cg = compress(g, VertexCover(frozenset({0, 1, 2})))
+    cg = compress(g, frozenset({0, 1, 2}))
     out = expand(cg)
     assert len(out.vertices) == 11
     assert len(out.edges) == 24
@@ -166,7 +165,7 @@ def test_round_trip_isomorphic():
         back = expand(cg)
         assert isomorphic(back, g)
         # and compressing the expansion with the canonical cover is stable
-        cover2 = VertexCover(frozenset(range(cg.k)))
+        cover2 = frozenset(range(cg.k))
         assert compress(back, cover2) == cg
 
 

@@ -1,7 +1,7 @@
 """Every name a package module imports is used in that module, every
 private helper of the package has a caller, and every public function,
-class and method of the package is read by the package, its tests or its
-benchmark."""
+class and method of the package is read by the package or its benchmark,
+apart from a few named exemptions that only tests read."""
 
 import ast
 from collections import Counter
@@ -12,8 +12,17 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "crossnum"
 MODULES = sorted(PACKAGE.glob("*.py"))
-READERS = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted(
-    (ROOT / "perfbench").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+READERS = MODULES + sorted((ROOT / "tests").glob("*.py")) + BENCH
+
+# public names that no solver or benchmark code reads, each kept on purpose
+TEST_ONLY = {
+    "complete_bipartite": "a named graph family",
+    "complete_graph": "a named graph family",
+    "format_edge_list": "the writing half of the edge-list text format",
+    "format_compressed": "the writing half of the compressed text format",
+    "drawing_from_text": "the reading half of the drawing text format",
+}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -72,5 +81,21 @@ def test_public_name_is_read(path):
     unread = [
         d.name for d in _defs(ast.parse(path.read_text()))
         if not d.name.startswith("_") and named[d.name] == _named(d)[d.name]
+    ]
+    assert unread == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_public_name_is_read_outside_tests(path):
+    """A public name that only tests read is a second way to do a job
+    the solver does some other way.  Reads are matched by name alone, so
+    a benchmark field of the same name counts: perfbench's `inst.lift`
+    would keep a function `lift` from being flagged."""
+    named = sum((_named(ast.parse(p.read_text())) for p in MODULES + BENCH),
+                Counter())
+    unread = [
+        d.name for d in _defs(ast.parse(path.read_text()))
+        if not d.name.startswith("_") and d.name not in TEST_ONLY
+        and named[d.name] == _named(d)[d.name]
     ]
     assert unread == []

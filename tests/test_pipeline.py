@@ -18,7 +18,6 @@ from crossnum.geometry import convex_position_drawing
 from crossnum.graphs import (
     CompressedGraph,
     Graph,
-    VertexCover,
     complete_bipartite,
     complete_graph,
     compress,
@@ -31,8 +30,10 @@ from crossnum.iqp import build_iqp
 from crossnum.oracle import OracleCeilingExceeded, OracleConfig, oracle_cr
 from crossnum.pipeline import (
     REP_SET_CAP,
+    ComponentResult,
     PipelineOptions,
     ResourceCapExceeded,
+    SolveReport,
     assemble_lifted,
     chord_clustering,
     component_split,
@@ -40,7 +41,6 @@ from crossnum.pipeline import (
     duplicate_star,
     enumerate_clusterings,
     initial_budget,
-    lift,
     ordered_rep_sets,
     verify,
 )
@@ -163,7 +163,7 @@ def test_internal_checks_raise_typed_errors(monkeypatch):
         d.relabel(mapping)
     monkeypatch.setattr(Emb, "euler_ok", lambda self: False)
     with pytest.raises(UnrealizableDrawing):
-        lift(c, (2,))
+        assemble_lifted(cg, crossing_number(cg))
 
 
 def test_crossing_number_named():
@@ -214,8 +214,7 @@ def test_lifted_drawing_matches_golden(name, text):
 def test_lift_k33_winner():
     cg = CompressedGraph.make(3, (), {7: 3})
     rep = crossing_number(cg)
-    comp = rep.components[0]
-    d = lift(comp.winner, comp.weights)
+    d = assemble_lifted(cg, rep)
     assert validate_good(d).ok
     assert crossing_count(d) == rep.value == 1
     assert isomorphic(d.graph, expand(cg))
@@ -224,10 +223,15 @@ def test_lift_k33_winner():
 def test_lift_weights_at_most_one_is_subdrawing():
     cg = CompressedGraph.make(3, ((0, 1),), {7: 1, 3: 1})
     rep = crossing_number(cg)
-    comp = rep.components[0]
-    d = lift(comp.winner, comp.weights)
+    d = assemble_lifted(cg, rep)
     assert validate_good(d).ok
     assert crossing_count(d) == rep.value
+
+
+def _lift_point(cg, c, z):
+    """The lift of clustering `c` of the connected `cg` at weights `z`."""
+    comp = ComponentResult(tuple(range(c.k)), 0, c, tuple(z), None, ())
+    return assemble_lifted(cg, SolveReport(0, [comp], 0))
 
 
 def test_lift_matches_true_value_on_random_feasible_points():
@@ -241,16 +245,16 @@ def test_lift_matches_true_value_on_random_feasible_points():
     ):
         for c in enumerate_clusterings(cg, 1):
             inst = build_iqp(c, cg)
-            arena.append((c, inst, list(feasible_points(inst))))
+            arena.append((cg, c, inst, list(feasible_points(inst))))
     seen = set()
     for _ in range(100):
         idx = rng.randrange(len(arena))
-        c, inst, points = arena[idx]
+        cg, c, inst, points = arena[idx]
         z = points[rng.randrange(len(points))]
         if (idx, z) in seen:
             continue
         seen.add((idx, z))
-        d = lift(c, z)
+        d = _lift_point(cg, c, z)
         assert validate_good(d).ok
         assert crossing_count(d) == true_value(inst, z)
     assert len(seen) >= 40
@@ -260,7 +264,7 @@ def test_lift_stacking_rotations_cluster_together():
     cg = CompressedGraph.make(3, (), {7: 5})
     rep = crossing_number(cg)
     comp = rep.components[0]
-    d = lift(comp.winner, comp.weights)
+    d = assemble_lifted(cg, rep)
     part = clusters(d, frozenset(range(3)))
     got = sorted(cl.size for cl in part.clusters)
     assert got == sorted(comp.weights)
@@ -360,12 +364,12 @@ def test_cover_cap(monkeypatch):
 def test_monotone_under_edge_deletion():
     base = complete_bipartite(3, 4)
     cr_base = crossing_number(
-        compress(base, VertexCover(frozenset({0, 1, 2})))
+        compress(base, frozenset({0, 1, 2}))
     ).value
     for drop in [(0, 3), (1, 5), (2, 6)]:
         edges = tuple(e for e in base.edges if e != drop)
         g = Graph(base.vertices, edges)
-        cg = compress(g, VertexCover(frozenset({0, 1, 2})))
+        cg = compress(g, frozenset({0, 1, 2}))
         assert crossing_number(cg).value <= cr_base
 
 
@@ -392,7 +396,7 @@ def test_cover_four_mixed_rotations_match_oracle():
         edges = list(cover_edges)
         edges += [(i, v) for v in (4, 5, 6) for i in range(4)]
         g = Graph(tuple(range(7)), tuple(edges))
-        cg = compress(g, VertexCover(frozenset({0, 1, 2, 3})))
+        cg = compress(g, frozenset({0, 1, 2, 3}))
         rep = crossing_number(cg)
         assert rep.value == oracle_cr(g, gate) == 2
         assert verify(rep, cg, gate).ok
@@ -488,9 +492,6 @@ def test_one_sphere_check_per_lift(monkeypatch):
                         lambda self: calls.append(self) or euler_ok(self))
     assemble_lifted(cg, rep)
     assert len(calls) == 1
-    comp = rep.components[0]
-    lift(comp.winner, comp.weights)
-    assert len(calls) == 2
 
 
 def _cover_compressed(g):

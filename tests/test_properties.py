@@ -3,7 +3,7 @@
 import itertools
 
 from crossnum.drawing import crossing_count, validate_good
-from crossnum.graphs import VertexCover, complete_bipartite, compress
+from crossnum.graphs import complete_bipartite, compress
 from crossnum.pipeline import crossing_number
 
 from cluster_reference import WeightedClustering, clusters, noncluster_count
@@ -47,6 +47,6 @@ def test_restrictions_of_good_drawings_stay_good():
 
 def test_pipeline_equals_minimum_over_oracle_drawings():
     g = complete_bipartite(3, 3)
-    cover = VertexCover(frozenset({0, 1, 2}))
+    cover = frozenset({0, 1, 2})
     oracle_min = min(crossing_count(d) for d in oracle_drawings(g, 2))
     assert crossing_number(compress(g, cover)).value == oracle_min
