@@ -13,7 +13,7 @@ from .graphs import (
     expand,
     find_vertex_cover,
 )
-from .oracle import OracleConfig, oracle_cr
+from .oracle import oracle_cr
 from .pipeline import PipelineOptions, crossing_number, initial_budget, verify
 
 __version__ = "0.1.0"
@@ -22,7 +22,6 @@ __all__ = [
     "CombinatorialDrawing",
     "CompressedGraph",
     "Graph",
-    "OracleConfig",
     "PipelineOptions",
     "compress",
     "crossing_count",

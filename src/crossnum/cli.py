@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 input parse error, 3 vertex-cover size exceeded,
-4 resource cap exceeded, 1 anything else.
+Exit codes: 0 success, 2 usage error, unreadable input path or input
+parse error, 3 vertex-cover size exceeded, 4 resource cap exceeded,
+1 anything else.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from .graphs import (
     parse_compressed,
     parse_edge_list,
 )
-from .iqp import ClusteringMismatch, IqpCapExceeded, iqp_to_text
-from .oracle import OracleCeilingExceeded, OracleConfig, oracle_cr
+from .iqp import IqpCapExceeded, iqp_to_text
+from .oracle import MAX_CROSSINGS, MAX_VERTICES, OracleCeilingExceeded, oracle_cr
 from .pipeline import (
+    ClusteringMismatch,
     PipelineOptions,
     ResourceCapExceeded,
     component_split,
@@ -65,11 +67,14 @@ def build_parser():
     )
     p.add_argument("--k-max", type=non_negative_int, default=8,
                    help="largest vertex cover to search for")
-    p.add_argument("--budget-cap", type=non_negative_int, default=2_000_000,
+    p.add_argument("--budget-cap", type=non_negative_int,
+                   default=PipelineOptions.clustering_cap,
                    help="cap on clusterings enumerated per component")
-    p.add_argument("--iqp-cap", type=non_negative_int, default=200_000,
+    p.add_argument("--iqp-cap", type=non_negative_int,
+                   default=PipelineOptions.iqp_cap,
                    help="node cap per IQP solve")
-    p.add_argument("--oracle-crossings", type=non_negative_int, default=8,
+    p.add_argument("--oracle-crossings", type=non_negative_int,
+                   default=MAX_CROSSINGS,
                    help="iterative deepening ceiling for the oracle")
     p.add_argument("--out-report", help="write the solve report (JSON)")
     p.add_argument("--out-drawing", help="write the lifted drawing (text)")
@@ -89,16 +94,18 @@ def _load(args) -> CompressedGraph:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.mode != "solve" and (args.out_report or args.out_drawing
+                                 or args.out_svg):
+        parser.error("--out-report, --out-drawing and --out-svg apply only "
+                     "to --mode solve")
     try:
         cg = _load(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except CoverSizeExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COVER
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
@@ -150,19 +157,17 @@ def _run_solve(cg, opts, args) -> int:
 
 
 def _run_oracle(cg, args) -> int:
-    cfg = OracleConfig(max_crossings=args.oracle_crossings)
-    if cg.total_vertices() > cfg.max_vertices:
+    if cg.total_vertices() > MAX_VERTICES:
         raise OracleCeilingExceeded(
             f"graph outside oracle size limits: {cg.total_vertices()} "
-            f"vertices (limit {cfg.max_vertices})")
-    print(oracle_cr(expand(cg), cfg))
+            f"vertices (limit {MAX_VERTICES})")
+    print(oracle_cr(expand(cg), args.oracle_crossings))
     return EXIT_OK
 
 
 def _run_verify(cg, opts, args) -> int:
     report = crossing_number(cg, opts)
-    gate = OracleConfig(max_crossings=args.oracle_crossings)
-    res = verify(report, cg, gate)
+    res = verify(report, cg, args.oracle_crossings)
     print(res.detail)
     if not res.ok:
         print("error: verification mismatch", file=sys.stderr)

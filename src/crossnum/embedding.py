@@ -184,24 +184,6 @@ class Emb:
         self._attach(node, pos, (seg, 0))
         self.rot[vn_].insert(end_pos, (seg, 1))
 
-    def insert_edge(self, edge, start_pos, steps, end_pos):
-        """Insert drawing edge (u, v) along an explicit route.
-
-        start_pos / end_pos are rotation insertion positions (ignored when
-        the endpoint has no edges yet); steps are the darts crossed in
-        order, each bounding the face the route occupies just before the
-        crossing.
-        """
-        if edge in self.chains:
-            raise ValueError(f"edge {edge} already drawn")
-        node = self.add_vertex(edge[0])
-        self.add_vertex(edge[1])
-        for dart in steps:
-            if self.edge_of(dart) == edge:
-                raise ValueError("route crosses its own edge")
-            node = self.cross_dart(edge, node, start_pos, dart)
-        self.finish_edge(edge, node, start_pos, end_pos)
-
     def add_drawing(self, d) -> "Emb":
         """Add the CombinatorialDrawing `d` beside what this embedding
         holds, and return self.  The drawing shares no vertex with what is

@@ -14,10 +14,6 @@ class IqpCapExceeded(Exception):
     """The branch-and-bound node cap of one IQP solve was hit."""
 
 
-class ClusteringMismatch(Exception):
-    """A clustering's drawing disagrees with its representatives' tags."""
-
-
 @dataclass(frozen=True)
 class IqpInstance:
     groups: tuple  # (mask, size, target h) per group, in mask order

@@ -30,7 +30,6 @@ Two reductions keep the search small; neither changes the value.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import add
 
 import networkx as nx
@@ -42,20 +41,13 @@ class OracleCeilingExceeded(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Size and effort limits of the brute-force oracle."""
-
-    max_crossings: int = 8   # iterative-deepening ceiling
-    max_edges: int = 18
-    max_vertices: int = 9
-    max_work: int = 20_000_000  # pair-set images plus planarity tests
-
-    def __post_init__(self):
-        if self.max_crossings < 0 or self.max_edges <= 0 or self.max_vertices <= 0:
-            raise ValueError("oracle ceilings must be positive")
-        if self.max_work < 0:
-            raise ValueError("oracle work cap must not be negative")
+# Size and effort limits of the brute-force oracle: the iterative-deepening
+# ceiling, the largest graph it takes, and its work cap in pair-set images
+# plus planarity tests.
+MAX_CROSSINGS = 8
+MAX_EDGES = 18
+MAX_VERTICES = 9
+MAX_WORK = 20_000_000
 
 
 def is_planar(g: Graph) -> bool:
@@ -178,7 +170,7 @@ def _least_pair_sets(perms, n_pairs: int, max_size: int, spend):
         level = kept
 
 
-def oracle_cr(g: Graph, cfg: OracleConfig | None = None) -> int:
+def oracle_cr(g: Graph, max_crossings: int = MAX_CROSSINGS) -> int:
     """Least c admitting c crossing pairs whose planarization is planar.
 
     Iterative deepening c = 0, 1, ... over the pair sets that are least in
@@ -188,14 +180,13 @@ def oracle_cr(g: Graph, cfg: OracleConfig | None = None) -> int:
     the planar edge bound) edges meet all of its pairs: the Euler prune.
 
     Raises `OracleCeilingExceeded` when g is outside the size limits, when
-    no drawing has at most `cfg.max_crossings` crossings, or when the work
-    exceeds `cfg.max_work`: each pair set examined counts once plus once
+    no drawing has at most `max_crossings` crossings, or when the work
+    exceeds `MAX_WORK`: each pair set examined counts once plus once
     per automorphism image, and each planarity test once.
     """
-    cfg = cfg or OracleConfig()
-    if len(g.edges) > cfg.max_edges or len(g.vertices) > cfg.max_vertices:
+    if len(g.edges) > MAX_EDGES or len(g.vertices) > MAX_VERTICES:
         raise OracleCeilingExceeded("graph outside oracle size limits")
-    if is_planar(g):
+    if max_crossings >= 0 and is_planar(g):
         return 0
     pairs = _nonadjacent_pairs(g)
     need = len(g.edges) - _planar_edge_bound(g)
@@ -204,14 +195,14 @@ def oracle_cr(g: Graph, cfg: OracleConfig | None = None) -> int:
     def spend(units):
         nonlocal work
         work += units
-        if work > cfg.max_work:
+        if work > MAX_WORK:
             raise OracleCeilingExceeded(
-                f"oracle work cap hit: {cfg.max_work} pair-set images and "
+                f"oracle work cap hit: {MAX_WORK} pair-set images and "
                 "planarity tests"
             )
 
     for s in _least_pair_sets(_pair_permutations(g, pairs), len(pairs),
-                              cfg.max_crossings, spend):
+                              max_crossings, spend):
         pair_set = tuple(pairs[i] for i in s)
         if _hits_below(pair_set, need):
             continue
@@ -222,5 +213,5 @@ def oracle_cr(g: Graph, cfg: OracleConfig | None = None) -> int:
             if ok:
                 return len(s)
     raise OracleCeilingExceeded(
-        f"no drawing found with <= {cfg.max_crossings} crossings"
+        f"no drawing found with <= {max_crossings} crossings"
     )

@@ -32,12 +32,16 @@ from .enumeration import (
 )
 from .geometry import convex_position_drawing
 from .graphs import CompressedGraph, Graph, connected_components, expand
-from .iqp import ClusteringMismatch, IqpInstance, build_iqp, solve_iqp
-from .oracle import OracleConfig, oracle_cr
+from .iqp import IqpInstance, build_iqp, solve_iqp
+from .oracle import MAX_CROSSINGS, MAX_EDGES, MAX_VERTICES, oracle_cr
 
 
 class ResourceCapExceeded(Exception):
     """An enumeration cap was hit; the result would not be exact."""
+
+
+class ClusteringMismatch(Exception):
+    """A clustering's drawing disagrees with its representatives' tags."""
 
 
 # Crossings plus vertices of the largest drawing assemble_lifted builds:
@@ -360,15 +364,17 @@ def duplicate_star(emb: Emb, v: int, v_new: int):
     v's edges, so each existing star copy is crossed just as v was.  Each
     edge of the copy is drawn from its other end, which a lift makes the
     smaller one: raises ValueError, before changing anything, unless v is
-    the larger end of each of its edges and v_new > v.  The sphere property
-    is not checked here; a lift checks it once after the last copy.
+    the larger end of each of its edges and v_new > v is not yet drawn.
+    The sphere property is not checked here; a lift checks it once after
+    the last copy.
     """
     ring = emb.rot[vnode(v)]
     edges = [emb.edge_of(d) for d in ring]
-    if v_new <= v or any(e[1] != v for e in edges):
+    if v_new <= v or vnode(v_new) in emb.rot or any(e[1] != v for e in edges):
         raise ValueError(
-            f"cannot copy the star of {v} to {v_new}: the copy must be the "
-            f"larger id, and {v} the larger end of each of its edges")
+            f"cannot copy the star of {v} to {v_new}: the copy must be a "
+            f"larger id not yet drawn, and {v} the larger end of each of its "
+            f"edges")
     m = len(ring)
     if m:
         start = edges.index(min(edges))
@@ -410,10 +416,12 @@ def duplicate_star(emb: Emb, v: int, v_new: int):
                 raise ValueError(f"stacked copy of {e_q} would cross it")
             steps_out.append(target)
         y_q = e_q[0]
-        idx = emb.rot[vnode(y_q)].index(emb.end_dart(e_q, y_q))
-        emb.insert_edge((y_q, v_new), idx + 1 if left else idx,
-                        [Emb.rev(d) for d in reversed(steps_out)],
-                        len(emb.rot[vnode(v_new)]))
+        copy_edge, node = (y_q, v_new), vnode(y_q)
+        idx = emb.rot[node].index(emb.end_dart(e_q, y_q))
+        pos = idx + 1 if left else idx
+        for d in reversed(steps_out):
+            node = emb.cross_dart(copy_edge, node, pos, Emb.rev(d))
+        emb.finish_edge(copy_edge, node, pos, len(emb.rot[vnode(v_new)]))
 
 
 def assemble_lifted(cg: CompressedGraph, report: SolveReport) -> CombinatorialDrawing:
@@ -465,9 +473,10 @@ class VerifyResult:
 
 
 def verify(report: SolveReport, cg: CompressedGraph,
-           oracle_gate: OracleConfig | None = None) -> VerifyResult:
+           max_crossings: int = MAX_CROSSINGS) -> VerifyResult:
     """Re-validate the lifted winner and recount; compare to the brute
-    oracle when the expanded graph is small enough."""
+    oracle, searching up to `max_crossings` crossings, when the expanded
+    graph is within the oracle's size limits."""
     lifted = report.lifted or assemble_lifted(cg, report)
     rep = validate_good(lifted)
     if not rep.ok:
@@ -478,10 +487,9 @@ def verify(report: SolveReport, cg: CompressedGraph,
             False,
             f"lift count != reported value ({recount} != {report.value})",
         )
-    gate = oracle_gate or OracleConfig()
-    g = expand(cg) if cg.total_vertices() <= gate.max_vertices else None
-    if g is not None and len(g.edges) <= gate.max_edges:
-        ocr = oracle_cr(g, gate)
+    g = expand(cg) if cg.total_vertices() <= MAX_VERTICES else None
+    if g is not None and len(g.edges) <= MAX_EDGES:
+        ocr = oracle_cr(g, max_crossings)
         if ocr != report.value:
             return VerifyResult(
                 False, f"oracle disagrees ({ocr} != {report.value})"

@@ -5,9 +5,12 @@ lines; the full suite is sized for a single desktop core.
 """
 
 import time
+from fractions import Fraction
 from math import comb
 
-from crossnum.drawing import crossing_count, validate_good, zee
+import networkx as nx
+
+from crossnum.drawing import canonical_cycle, crossing_count, validate_good, zee
 from crossnum.geometry import drawing_from_points
 from crossnum.graphs import (
     CompressedGraph,
@@ -18,7 +21,7 @@ from crossnum.graphs import (
     find_vertex_cover,
 )
 from crossnum.iqp import build_iqp, objective
-from crossnum.oracle import OracleConfig, oracle_cr
+from crossnum.oracle import _planarization_nx, oracle_cr
 from crossnum.pipeline import (
     PipelineOptions,
     assemble_lifted,
@@ -32,8 +35,6 @@ from iqp_reference import feasible_points, true_value
 from oracle_reference import oracle_drawings
 from smallgraphs import small_cover_suite
 
-ORACLE = OracleConfig(max_crossings=8, max_edges=18, max_vertices=9)
-
 
 def report(criterion, ok, detail=""):
     print(f"[criterion {criterion}] {'PASS' if ok else 'FAIL'} {detail}")
@@ -46,7 +47,7 @@ def test_criterion_1_oracle_equivalence():
     for g, cover in small_cover_suite(7, 3):
         cg = compress(g, cover)
         got = crossing_number(cg).value
-        want = oracle_cr(g, ORACLE)
+        want = oracle_cr(g)
         assert got == want, (g.edges, got, want)
         n += 1
     dt = time.time() - t0
@@ -66,26 +67,16 @@ def test_criterion_2_named_graphs():
     for name, g, want in named:
         cover = find_vertex_cover(g, len(g.vertices) - 1)
         via_pipeline = crossing_number(compress(g, cover)).value
-        via_oracle = oracle_cr(
-            g, OracleConfig(max_crossings=8, max_edges=20, max_vertices=10)
-        )
+        via_oracle = oracle_cr(g)
         assert via_pipeline == via_oracle == want, (name, via_pipeline, via_oracle)
         results.append(f"{name}={via_pipeline}")
     report(2, True, " ".join(results))
 
 
-def test_criterion_3_k2m_bound_and_stacking():
-    for m, want in ((3, 1), (4, 2), (5, 4)):
-        ds = oracle_drawings(
-            complete_bipartite(2, m), zee(m), equal_rotations=((0, 1),)
-        )
-        got = min(crossing_count(d) for d in ds)
-        assert got == want == zee(m), (m, got)
-    # the stacking construction recounts Z(7) = 9 on a degree-7 star:
-    # leaves sit on a shallow parabola below the center, exactly placed
-    from fractions import Fraction
-
-    m = 7
+def _stacked_k2m(m):
+    """K_{2,m} with centres m and m + 1, drawn by stacking a copy of the
+    star of m: its leaves sit on a shallow parabola below the centre,
+    exactly placed."""
     pos = {m: (0, 0)}
     for i in range(m):
         x = Fraction(2 * i - (m - 1))
@@ -93,7 +84,36 @@ def test_criterion_3_k2m_bound_and_stacking():
     g = Graph(tuple(range(m + 1)), tuple((i, m) for i in range(m)))
     emb = drawing_from_points(g, pos).emb()
     duplicate_star(emb, m, m + 1)
-    assert emb.crossing_count() == zee(7) == 9
+    edges = tuple(sorted(emb.chains))
+    assert edges == tuple(sorted((i, c) for i in range(m) for c in (m, m + 1)))
+    return emb.to_drawing(Graph(tuple(range(m + 2)), edges))
+
+
+def test_criterion_3_k2m_bound_and_stacking():
+    # lower bound: no drawing of K_{2,m} whose centres share a rotation has
+    # fewer than Z(m) crossings; for m <= 4 every such drawing is listed
+    for m, want in ((3, 1), (4, 2)):
+        ds = oracle_drawings(
+            complete_bipartite(2, m), zee(m), equal_rotations=((0, 1),)
+        )
+        got = min(crossing_count(d) for d in ds)
+        assert got == want == zee(m), (m, got)
+    assert oracle_drawings(
+        complete_bipartite(2, 5), zee(5) - 1, equal_rotations=((0, 1),)
+    ) == []
+    # upper bound: the stacking construction draws it with Z(m) crossings
+    for m, want in ((3, 1), (4, 2), (5, 4), (7, 9)):
+        d = _stacked_k2m(m)
+        assert validate_good(d).ok, m
+        assert crossing_count(d) == want == zee(m), m
+        rot = d.rot_map
+        assert canonical_cycle(rot[m]) == canonical_cycle(rot[m + 1]), m
+        cids = sorted(d.crossing_pairs)
+        index = {c: i for i, c in enumerate(cids)}
+        pair_set = [d.crossing_pairs[c] for c in cids]
+        orders = {e: tuple(index[c] for c in seq) for e, seq in d.sequences}
+        ng = _planarization_nx(d.graph, pair_set, orders)
+        assert nx.check_planarity(ng, counterexample=False)[0], m
     report(3, True, "Z(3)=1 Z(4)=2 Z(5)=4 and stacked Z(7)=9")
 
 

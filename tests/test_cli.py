@@ -1,11 +1,10 @@
-import functools
 import resource
 import subprocess
 import sys
 
 import pytest
 
-from crossnum import cli, pipeline
+from crossnum import oracle, pipeline
 from crossnum.cli import (
     EXIT_CAP,
     EXIT_COVER,
@@ -22,8 +21,7 @@ from crossnum.graphs import (
     format_edge_list,
 )
 from crossnum.graphs import CompressedGraph
-from crossnum.iqp import ClusteringMismatch
-from crossnum.oracle import OracleConfig
+from crossnum.pipeline import ClusteringMismatch
 
 # inputs whose representative sets (or, for cover 12, whose cyclic orders)
 # are far too many to list; a solve must refuse them before building any
@@ -102,6 +100,27 @@ def test_cover_exceeded_exit(tmp_path):
 def test_missing_file_exit():
     code, _, _ = run_cli(["/nonexistent/input.txt"])
     assert code == EXIT_PARSE
+
+
+def test_unreadable_input_path_exit(tmp_path, capsys):
+    assert main([str(tmp_path)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", ["verify", "oracle", "dump-clusterings"])
+@pytest.mark.parametrize("option", ["--out-report", "--out-drawing",
+                                    "--out-svg"])
+def test_output_option_outside_solve_is_a_usage_error(tmp_path, capsys,
+                                                      mode, option):
+    out_file = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([write_k33(tmp_path), "--mode", mode, option, str(out_file)])
+    assert exc.value.code == EXIT_PARSE
+    assert capsys.readouterr().out == ""
+    assert not out_file.exists()
 
 
 def test_outputs_and_determinism(tmp_path):
@@ -280,11 +299,10 @@ def test_oracle_work_cap_fails_closed(tmp_path, mode, monkeypatch, capsys):
     # default cap stops it; K_{3,5} needs about 600 000 units of work
     k36 = tmp_path / "k36.txt"
     k36.write_text("3\nh 7 6\n")
-    runs = ((k36, "compressed", OracleConfig.max_work),
+    runs = ((k36, "compressed", oracle.MAX_WORK),
             (k35, "edge-list", 500_000))
     for src, fmt, cap in runs:
-        monkeypatch.setattr(cli, "OracleConfig",
-                            functools.partial(OracleConfig, max_work=cap))
+        monkeypatch.setattr(oracle, "MAX_WORK", cap)
         assert main([str(src), "--format", fmt, "--mode", mode]) == EXIT_CAP
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossnum import oracle
 from crossnum.drawing import crossing_count, structural_key, validate_good
 from crossnum.graphs import Graph, automorphisms, complete_bipartite, complete_graph
 from crossnum.oracle import (
     OracleCeilingExceeded,
-    OracleConfig,
     _hits_below,
     _least_pair_sets,
     _nonadjacent_pairs,
@@ -46,21 +46,23 @@ def test_oracle_planarity_agreement():
 
 def test_oracle_ceiling_signal():
     with pytest.raises(OracleCeilingExceeded):
-        oracle_cr(complete_graph(6), OracleConfig(max_crossings=2))
+        oracle_cr(complete_graph(6), 2)
     with pytest.raises(OracleCeilingExceeded):
-        oracle_cr(complete_graph(8), OracleConfig())
+        oracle_cr(complete_graph(8))
+    with pytest.raises(OracleCeilingExceeded):
+        oracle_cr(complete_graph(4), -1)
 
 
-def test_oracle_work_cap():
+def test_oracle_work_cap(monkeypatch):
     # K_{3,5} takes 597 712 units: 830 pair sets examined, each counted
     # once plus once per image under its 719 non-identity automorphisms,
     # and 112 planarity tests
     k35 = complete_bipartite(3, 5)
+    monkeypatch.setattr(oracle, "MAX_WORK", 500_000)
     with pytest.raises(OracleCeilingExceeded, match="work cap"):
-        oracle_cr(k35, OracleConfig(max_work=500_000))
-    assert oracle_cr(k35, OracleConfig(max_work=600_000)) == 4
-    with pytest.raises(ValueError):
-        OracleConfig(max_work=-1)
+        oracle_cr(k35)
+    monkeypatch.setattr(oracle, "MAX_WORK", 600_000)
+    assert oracle_cr(k35) == 4
 
 
 @pytest.mark.parametrize("g", [
@@ -99,9 +101,8 @@ def _value_or_ceiling(oracle, *args):
 def test_reduced_search_matches_definition():
     """The orbit-wise, Euler-pruned search against every pair set and
     every order."""
-    cfg = OracleConfig(max_crossings=2)
     for g in connected_graphs(6):
-        assert (_value_or_ceiling(oracle_cr, g, cfg)
+        assert (_value_or_ceiling(oracle_cr, g, 2)
                 == _value_or_ceiling(plain_oracle_cr, g, 2)), g.edges
 
 

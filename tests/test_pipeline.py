@@ -27,7 +27,7 @@ from crossnum.graphs import (
     parse_compressed,
 )
 from crossnum.iqp import build_iqp
-from crossnum.oracle import OracleCeilingExceeded, OracleConfig, oracle_cr
+from crossnum.oracle import OracleCeilingExceeded, oracle_cr
 from crossnum.pipeline import (
     REP_SET_CAP,
     ComponentResult,
@@ -133,7 +133,7 @@ def test_internal_checks_raise_typed_errors(monkeypatch):
     from crossnum import pipeline
     from crossnum.drawing import UnrealizableDrawing
     from crossnum.embedding import Emb
-    from crossnum.iqp import ClusteringMismatch
+    from crossnum.pipeline import ClusteringMismatch
 
     cg = CompressedGraph.make(3, (), {7: 3})
     convex = pipeline.convex_position_drawing
@@ -279,7 +279,7 @@ def test_verify_ok_and_gate():
     # past the size gate: the oracle is skipped, the lift is recounted
     big = CompressedGraph.make(3, (), {7: 60})
     rep_big = crossing_number(big)
-    res_big = verify(rep_big, big, OracleConfig(max_vertices=9, max_edges=18))
+    res_big = verify(rep_big, big)
     assert res_big.ok and "oracle=skipped" in res_big.detail
     assert rep_big.value == 30 * 29
 
@@ -295,7 +295,7 @@ def test_verify_detects_tampering():
 @pytest.mark.parametrize("name, fake, detail", [
     ("validate_good", lambda d: GoodnessReport(False, "broken"),
      "lifted drawing invalid: broken"),
-    ("oracle_cr", lambda g, cfg: 2, "oracle disagrees (2 != 1)"),
+    ("oracle_cr", lambda g, max_crossings: 2, "oracle disagrees (2 != 1)"),
 ])
 def test_verify_fails_when_a_check_disagrees(monkeypatch, name, fake, detail):
     from crossnum import pipeline
@@ -390,7 +390,6 @@ def test_cover_four_mixed_rotations_match_oracle():
     """Size-4 neighborhoods bring six rotation tags and 41 rep sets."""
     from crossnum.oracle import oracle_cr
 
-    gate = OracleConfig(max_crossings=8, max_edges=18, max_vertices=10)
     for cover_edges in ([(0, 1), (1, 2), (2, 3), (0, 3)],
                         [(0, 1), (1, 2), (2, 3)]):
         edges = list(cover_edges)
@@ -398,8 +397,8 @@ def test_cover_four_mixed_rotations_match_oracle():
         g = Graph(tuple(range(7)), tuple(edges))
         cg = compress(g, frozenset({0, 1, 2, 3}))
         rep = crossing_number(cg)
-        assert rep.value == oracle_cr(g, gate) == 2
-        assert verify(rep, cg, gate).ok
+        assert rep.value == oracle_cr(g) == 2
+        assert verify(rep, cg).ok
 
 
 def test_random_eight_vertex_graphs_match_oracle():
@@ -410,7 +409,6 @@ def test_random_eight_vertex_graphs_match_oracle():
     from crossnum.oracle import oracle_cr
 
     rng = random.Random(40)
-    gate = OracleConfig(max_crossings=8, max_edges=18, max_vertices=9)
     checked = 0
     while checked < 20:
         edges = tuple(
@@ -423,7 +421,7 @@ def test_random_eight_vertex_graphs_match_oracle():
             cover = find_vertex_cover(g, 3)
         except CoverSizeExceeded:
             continue
-        assert crossing_number(compress(g, cover)).value == oracle_cr(g, gate)
+        assert crossing_number(compress(g, cover)).value == oracle_cr(g)
         checked += 1
 
 
@@ -470,7 +468,11 @@ def test_duplicate_star_takes_only_the_orientation_a_lift_makes():
     a larger id; any other call is refused before the embedding changes."""
     low = convex_position_drawing(Graph((0, 1, 2, 3), ((0, 1), (0, 2), (0, 3))))
     high = convex_position_drawing(Graph((0, 1, 2, 3), ((0, 3), (1, 3), (2, 3))))
-    for d, v, v_new in ((low, 0, 4), (high, 3, 3), (high, 3, 2)):
+    # the copy's id is taken: 4 already has an edge to the star's second leaf
+    taken = convex_position_drawing(
+        Graph((0, 1, 2, 3, 4), ((0, 3), (1, 3), (1, 4), (2, 3))))
+    for d, v, v_new in ((low, 0, 4), (high, 3, 3), (high, 3, 2),
+                        (taken, 3, 4)):
         emb = d.emb()
         before = vars(emb.copy())
         with pytest.raises(ValueError):
@@ -601,7 +603,7 @@ ORACLE_CEILING = 3
 def test_random_compressed_inputs_match_oracle(cg):
     value = crossing_number(cg).value
     try:
-        want = oracle_cr(expand(cg), OracleConfig(max_crossings=ORACLE_CEILING))
+        want = oracle_cr(expand(cg), ORACLE_CEILING)
     except OracleCeilingExceeded:
         assert value > ORACLE_CEILING
     else:
