@@ -100,6 +100,8 @@ def main(argv=None) -> int:
                                  or args.out_svg):
         parser.error("--out-report, --out-drawing and --out-svg apply only "
                      "to --mode solve")
+    if args.mode != "solve" and args.verbose:
+        parser.error("-v applies only to --mode solve")
     try:
         cg = _load(args)
     except CoverSizeExceeded as exc:
@@ -137,7 +139,8 @@ def _run_solve(cg, opts, args) -> int:
         for comp in report.components:
             print(
                 f"# component cover={comp.cover} value={comp.value} "
-                f"clusterings={comp.clusterings_seen}",
+                f"clusterings={comp.clusterings_seen} "
+                f"tag_skipped={comp.tag_skipped}",
                 file=sys.stderr,
             )
             print("# " + iqp_to_text(comp.instance).replace("\n", "\n# "),

@@ -4,7 +4,7 @@ bits, equivalence and crossing counts."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .embedding import Emb
 from .graphs import Graph
@@ -13,6 +13,47 @@ from .graphs import Graph
 def zee(m: int) -> int:
     """Forced crossings between two equal-rotation degree-m stars."""
     return (m // 2) * ((m - 1) // 2)
+
+
+def antidistance(p: tuple, s: tuple) -> int:
+    """Forced crossings between two degree-m stars on the same m leaves
+    whose centre rotations are the cyclic orders `p` and `s`: in any good
+    drawing they cross at least this often (Woodall, "Cyclic-order graphs
+    and Zarankiewicz's crossing-number conjecture", 1993).  It is the
+    fewest swaps of two cyclically adjacent elements that turn `p` into
+    the reverse of `s`, so it is zee(m) when p = s."""
+    m = len(p)
+    if m < 3:
+        return 0
+    # relabel so that p is the identity order
+    pos = {x: i for i, x in enumerate(p)}
+    target = canonical_cycle(tuple(pos[x] for x in s[::-1]))
+    return _identity_distances(m)[target]
+
+
+@cache
+def _identity_distances(m: int) -> dict:
+    """Swap distance from the identity order of range(m) to every cyclic
+    order of it, each keyed in canonical (least-first) phase.  The table
+    has (m - 1)! entries; the solver reads it for m <= 6 only, since two
+    representatives sharing 7 leaves take more than the pipeline's
+    REP_SET_CAP representative sets (at least 720 + C(720, 2))."""
+    start = tuple(range(m))
+    dist = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for order in frontier:
+            for i in range(m):
+                j = (i + 1) % m
+                swapped = list(order)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                key = canonical_cycle(tuple(swapped))
+                if key not in dist:
+                    dist[key] = dist[order] + 1
+                    nxt.append(key)
+        frontier = nxt
+    return dist
 
 
 class UnrealizableDrawing(Exception):

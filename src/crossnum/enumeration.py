@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .drawing import CombinatorialDrawing
+from .drawing import CombinatorialDrawing, antidistance
 from .embedding import Emb, vnode
 from .graphs import CompressedGraph, Graph
 
@@ -57,6 +57,21 @@ class RepresentativeSet:
 
     def tags_by_vertex(self) -> dict[int, tuple]:
         return {s.vertex: s.tag for s in self.reps}
+
+    def forced_crossings(self) -> int:
+        """Crossings that the tags alone force in every good drawing of the
+        host: over the pairs of representatives, the antidistance of their
+        tags restricted to the leaves they share.  A drawing of the host
+        restricts to a good drawing of each pair's two stars on those
+        leaves, and each crossing lies on the stars of at most one pair."""
+        total = 0
+        for a, b in itertools.combinations(self.reps, 2):
+            shared = a.mask & b.mask
+            total += antidistance(
+                tuple(x for x in a.tag if shared >> x & 1),
+                tuple(x for x in b.tag if shared >> x & 1),
+            )
+        return total
 
 
 def rep_cap(mask: int, count: int) -> int:

@@ -77,6 +77,9 @@ class ComponentResult:
     weights: tuple
     instance: IqpInstance
     rep_set_counts: tuple  # clusterings read per orbit representative
+    # rep sets whose tags force more crossings than their budget, skipped
+    # unrouted; printed by `-v`, kept out of the report
+    tag_skipped: int = 0
 
     @property
     def clusterings_seen(self) -> int:
@@ -261,11 +264,17 @@ def _orbit_representatives(cg: CompressedGraph, rep_sets) -> list:
     return out
 
 
-def clustering_stream(cg: CompressedGraph, rep_sets, budget, cap: int):
+def clustering_stream(cg: CompressedGraph, rep_sets, budget, cap: int,
+                      tag_skipped: list | None = None):
     """Yield (i, clustering) for the clusterings of each `rep_sets[i]` in
     turn, in router DFS order, pairwise distinct.  `budget(i)` is re-read
-    at every router step, so the caller may tighten it as the stream runs;
-    a rep set whose budget is already negative is skipped.  Raises
+    at every router step, so the caller may tighten it as the stream runs.
+    A rep set is skipped unrouted when its budget is already negative, or
+    when its tags force more crossings than its budget
+    (`RepresentativeSet.forced_crossings`): every drawing of its host has
+    at least that many crossings, so its router would emit nothing; the
+    index of each set skipped for its tags is appended to `tag_skipped`
+    when one is given.  Raises
     ResourceCapExceeded when a clustering beyond the first `cap` exists,
     and when the router's nested generators outgrow the recursion limit.
     """
@@ -273,6 +282,10 @@ def clustering_stream(cg: CompressedGraph, rep_sets, budget, cap: int):
     for i, rs in enumerate(rep_sets):
         bound = partial(budget, i)
         if bound() < 0:
+            continue
+        if rs.forced_crossings() > bound():
+            if tag_skipped is not None:
+                tag_skipped.append(i)
             continue
         host = rs.host_graph(cg.gx_edges)
         try:
@@ -318,11 +331,13 @@ def _solve_component(cover: tuple, cg: CompressedGraph,
     cl_mins = [_cl_min(rs, cg) for rs in rep_sets]
     # distinct clusterings often give equal instances; solve each once
     solved = {instance: sol0}
+    tag_skipped = []
 
     def budget(i):
         return value - 1 - cl_mins[i]
 
-    for i, c in clustering_stream(cg, rep_sets, budget, opts.clustering_cap):
+    for i, c in clustering_stream(cg, rep_sets, budget, opts.clustering_cap,
+                                  tag_skipped):
         counts[i] += 1
         inst = build_iqp(c, cg)
         sol = solved.get(inst)
@@ -335,7 +350,7 @@ def _solve_component(cover: tuple, cg: CompressedGraph,
             value, weights, key = sol.value, sol.z, c_key
             winner, instance = c, inst
     return ComponentResult(cover, value, winner, weights, instance,
-                           tuple(counts))
+                           tuple(counts), len(tag_skipped))
 
 
 def crossing_number(cg: CompressedGraph, opts: PipelineOptions | None = None) -> SolveReport:

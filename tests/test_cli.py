@@ -123,6 +123,27 @@ def test_output_option_outside_solve_is_a_usage_error(tmp_path, capsys,
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("mode", ["verify", "oracle", "dump-clusterings"])
+def test_verbose_outside_solve_is_a_usage_error(tmp_path, capsys, mode):
+    with pytest.raises(SystemExit) as exc:
+        main([write_k33(tmp_path), "--mode", mode, "-v"])
+    assert exc.value.code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "-v applies only to --mode solve" in captured.err
+
+
+def test_verbose_solve_counts_tag_skips(tmp_path, capsys):
+    p = tmp_path / "k44.txt"
+    p.write_text("4\nh 15 4\n")
+    assert main([str(p), "--format", "compressed", "-v"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == "4\n"
+    assert captured.err.startswith(
+        "# component cover=(0, 1, 2, 3) value=4 clusterings=32 "
+        "tag_skipped=4\n")
+
+
 def test_outputs_and_determinism(tmp_path):
     src = write_k33(tmp_path)
     arts = []

@@ -6,6 +6,7 @@ import pytest
 
 from crossnum.drawing import (
     CombinatorialDrawing,
+    antidistance,
     crossing_count,
     drawing_from_text,
     drawing_to_text,
@@ -49,6 +50,24 @@ def test_zee_values():
     assert zee(2) == 0
     assert zee(5) == 4
     assert zee(0) == 0
+
+
+def test_antidistance_of_equal_tags_is_zee():
+    for m in range(9):
+        order = tuple(range(m))
+        assert antidistance(order, order) == zee(m), m
+        # reversed tags force nothing
+        assert antidistance(order, order[::-1]) == 0, m
+
+
+def test_antidistance_is_relabelling_and_rotation_invariant():
+    p, s = (3, 7, 1, 4, 9), (7, 9, 4, 3, 1)
+    want = antidistance(p, s)
+    assert want == 2
+    assert want == antidistance(p[2:] + p[:2], s[4:] + s[:4])
+    assert want == antidistance(s, p)
+    name = {x: i for i, x in enumerate(p)}
+    assert want == antidistance(tuple(range(5)), tuple(name[x] for x in s))
 
 
 def test_validate_planar_k4():

@@ -1,6 +1,11 @@
+import itertools
 from pathlib import Path
 
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
 from crossnum.drawing import (
+    antidistance,
     canonical_cycle,
     crossing_count,
     drawing_from_text,
@@ -12,14 +17,22 @@ from crossnum.enumeration import (
     cyclic_orders,
     enumerate_embeddings,
     enumerate_rep_sets,
+    rep_cap,
     rotations,
 )
 from crossnum.graphs import (
     CompressedGraph,
+    Graph,
     compress,
     complete_bipartite,
+    parse_compressed,
 )
-from crossnum.pipeline import enumerate_clusterings, ordered_rep_sets
+from crossnum.pipeline import (
+    REP_SET_CAP,
+    component_split,
+    enumerate_clusterings,
+    ordered_rep_sets,
+)
 
 from cluster_reference import clusters as cluster_partition
 from oracle_reference import oracle_drawings
@@ -247,3 +260,58 @@ def test_router_rejects_a_tag_outside_the_host():
     star = complete_bipartite(1, 3)
     with pytest.raises(ValueError, match="outside the host"):
         next(enumerate_embeddings(star, {4: (0,)}, lambda: 0))
+
+
+def test_antidistance_table_against_the_router():
+    """Two stars on the same four leaves, with every ordered pair of tags:
+    the fewest crossings the router draws is the antidistance, 2 for
+    equal tags, 0 for reversed ones and 1 otherwise."""
+    host = Graph.from_edges([(x, c) for x in range(4) for c in (4, 5)])
+    orders = cyclic_orders(tuple(range(4)))
+    table = {}
+    for p in orders:
+        for s in orders:
+            counts = [emb.crossing_count() for emb in enumerate_embeddings(
+                host, {4: p, 5: s}, lambda: 2)]
+            table[p, s] = min(counts)
+            assert table[p, s] == antidistance(p, s)
+    assert len(table) == 36
+    for (p, s), got in table.items():
+        want = 2 if p == s else 0 if s == canonical_cycle(p[::-1]) else 1
+        assert got == want, (p, s)
+
+
+@st.composite
+def tagged_covers(draw):
+    """A cover of 4 vertices with at most one G_X edge and one or two
+    neighborhoods of 3 or 4 members, at most 3 representatives in all."""
+    pairs = list(itertools.combinations(range(4), 2))
+    gx = draw(st.lists(st.sampled_from(pairs), max_size=1))
+    masks = [m for m in range(16) if bin(m).count("1") >= 3]
+    h = draw(st.dictionaries(st.sampled_from(masks), st.integers(1, 3),
+                             min_size=1, max_size=2))
+    cg = CompressedGraph.make(4, gx, h)
+    assume(sum(rep_cap(m, c) for m, c in cg.h) <= 3)
+    return cg
+
+
+# crossings the router may draw in the property below: no input forces
+# more (distinct tags on four leaves force at most 1 a pair, and tags
+# restricted to three shared leaves at most Z(3) = 1)
+SOUNDNESS_BUDGET = 3
+
+
+@settings(derandomize=True, deadline=None, max_examples=15, database=None)
+@given(tagged_covers())
+@example(parse_compressed("4\nh 15 3\n"))
+def test_forced_crossings_are_a_lower_bound(cg):
+    """Every drawing the router emits for a rep set has at least the
+    crossings its tags force, so the solver may skip a set whose forced
+    crossings exceed its budget."""
+    for _, sub in component_split(cg)[0]:
+        for rs in ordered_rep_sets(sub, REP_SET_CAP):
+            forced = rs.forced_crossings()
+            host = rs.host_graph(sub.gx_edges)
+            for emb in enumerate_embeddings(host, rs.tags_by_vertex(),
+                                            lambda: SOUNDNESS_BUDGET):
+                assert emb.crossing_count() >= forced, rs

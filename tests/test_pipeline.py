@@ -521,6 +521,43 @@ def test_one_rep_set_per_orbit(cg, labelled, orbits, value):
     assert rep.value == value
 
 
+@pytest.mark.parametrize("cg, counts, skipped", [
+    (_cover_compressed(complete_graph(6)), (3,), 0),
+    (parse_compressed("4\nh 15 4\n"), (0, 25, 7, 0, 0, 0, 0), 4),
+    (parse_compressed("4\ngx 0 1\ngx 1 2\ngx 2 3\ngx 0 3\nh 15 3\n"),
+     (3, 0, 6, 2, 0, 0, 0, 0, 0, 0), 4),
+    (parse_compressed("4\ngx 0 1\ngx 1 2\ngx 2 3\nh 15 3\n"),
+     (0, 0, 0, 9, 0, 0, 1) + (0,) * 11, 8),
+], ids=["K6", "K44", "C4+3", "P4+3"])
+def test_tag_bound_skips_only_sets_that_emit_nothing(monkeypatch, cg,
+                                                      counts, skipped):
+    """Skipping the rep sets whose tags force more crossings than their
+    budget changes nothing but the work: with the bound switched off, the
+    counts and the report bytes are the same, and nothing is skipped."""
+    from crossnum.enumeration import RepresentativeSet
+
+    rep = crossing_number(cg)
+    (comp,) = rep.components
+    assert (comp.rep_set_counts, comp.tag_skipped) == (counts, skipped)
+    assert "tag_skipped" not in rep.to_json()
+    monkeypatch.setattr(RepresentativeSet, "forced_crossings", lambda rs: 0)
+    unbounded = crossing_number(cg)
+    assert unbounded.components[0].rep_set_counts == counts
+    assert unbounded.components[0].tag_skipped == 0
+    assert unbounded.to_json() == rep.to_json()
+
+
+def test_k45_is_zarankiewicz():
+    """cr(K_{4,5}) = Z(4,5) = 8 (Kleitman 1970).  Its five-representative
+    set, whose tags force 8 crossings against a budget of 7, is skipped
+    unrouted; routing it took about 290 s on a 2-vCPU host."""
+    rep = crossing_number(parse_compressed("4\nh 15 5\n"))
+    (comp,) = rep.components
+    assert rep.value == zee(4) * zee(5) == 8
+    assert comp.rep_set_counts == (0, 82, 11, 3, 10, 4, 18, 0)
+    assert comp.tag_skipped == 1
+
+
 def _solve_every_rep_set(cg):
     with pytest.MonkeyPatch.context() as mp:
         import crossnum.pipeline as pipeline
