@@ -169,6 +169,8 @@ class CompressedGraph:
         if self.k < 0:
             raise ValueError(f"negative cover size {self.k}")
         for u, v in self.gx_edges:
+            if u == v:
+                raise ValueError(f"G_X self-loop at {u}")
             if not (0 <= u < v < self.k):
                 raise ValueError(f"G_X edge ({u},{v}) outside cover range")
         if len(set(self.gx_edges)) != len(self.gx_edges):
@@ -328,7 +330,7 @@ def parse_compressed(text: str) -> CompressedGraph:
             k = int(parts[0])
             continue
         if parts[0] == "gx" and len(parts) == 3:
-            gx.append((int(parts[1]), int(parts[2])))
+            gx.append(tuple(sorted(map(int, parts[1:]))))
         elif parts[0] == "h" and len(parts) == 3:
             mask, count = int(parts[1]), int(parts[2])
             h[mask] = h.get(mask, 0) + count

@@ -341,6 +341,23 @@ def test_repeated_gx_edge_is_a_parse_error(tmp_path, mode):
     assert err == "error: repeated G_X edge\n"
 
 
+def test_gx_record_takes_its_ends_in_either_order(tmp_path):
+    """A `gx` record names a cover edge by its ends in either order, as the
+    edge-list format does, and a record with equal ends is a self-loop."""
+    p = tmp_path / "gx.txt"
+    outs = []
+    for record in ("gx 0 1", "gx 1 0"):
+        p.write_text(f"3\n{record}\nh 7 2\n")
+        code, out, _ = run_cli([str(p), "--format", "compressed"])
+        assert code == EXIT_OK
+        outs.append(out)
+    assert outs[0] == outs[1] == "0\n"
+    p.write_text("3\ngx 1 1\nh 7 2\n")
+    code, out, err = run_cli([str(p), "--format", "compressed"])
+    assert code == EXIT_PARSE and out == ""
+    assert err.count("\n") == 1 and "self-loop" in err
+
+
 def test_checks_survive_optimized_mode(tmp_path):
     # `python -O` strips asserts; answers and caps must not depend on them
     code, out, _ = run_cli([write_k33(tmp_path)], python_flags=("-O",))
