@@ -14,6 +14,10 @@ class IqpCapExceeded(Exception):
     """The branch-and-bound node cap of one IQP solve was hit."""
 
 
+# Most branch-and-bound boxes one IQP solve expands.
+MAX_NODES = 200_000
+
+
 @dataclass(frozen=True)
 class IqpInstance:
     groups: tuple  # (mask, size, target h) per group, in mask order
@@ -88,7 +92,7 @@ def objective(inst: IqpInstance, z) -> int:
     return total
 
 
-def solve_iqp(inst: IqpInstance, cap: int = 200_000) -> IqpSolution:
+def solve_iqp(inst: IqpInstance, cap: int = MAX_NODES) -> IqpSolution:
     """Exact global minimizer of f, lexicographically least among optima.
 
     One interval branch-and-bound over boxes tightened against the group

@@ -32,7 +32,7 @@ from .enumeration import (
 )
 from .geometry import convex_position_drawing
 from .graphs import CompressedGraph, Graph, connected_components, expand
-from .iqp import IqpInstance, build_iqp, solve_iqp
+from .iqp import MAX_NODES, IqpInstance, build_iqp, solve_iqp
 from .oracle import MAX_CROSSINGS, MAX_EDGES, MAX_VERTICES, oracle_cr
 
 
@@ -64,7 +64,7 @@ GROUP_COVER_CAP = 6
 
 @dataclass(frozen=True)
 class PipelineOptions:
-    iqp_cap: int = 200_000
+    iqp_cap: int = MAX_NODES
     clustering_cap: int = 2_000_000
     want_drawing: bool = False
 
