@@ -200,17 +200,6 @@ def _cl_min(rep_set: RepresentativeSet, cg: CompressedGraph) -> int:
     return total
 
 
-def ordered_rep_sets(cg: CompressedGraph, cap: int) -> list:
-    """All representative sets in solve order: fewest representatives
-    first, then by their (mask, tag) list."""
-    if count_rep_sets(cg, cap) > cap:
-        raise ResourceCapExceeded("representative-set cap exceeded")
-    return sorted(
-        enumerate_rep_sets(cg),
-        key=lambda rs: (len(rs.reps), [(s.mask, s.tag) for s in rs.reps]),
-    )
-
-
 def _cover_group(cg: CompressedGraph) -> list:
     """The permutations p of the cover (i goes to p[i]) that map the G_X
     edges onto themselves and each h mask onto a mask with the same count;
@@ -232,9 +221,11 @@ def _mask_image(mask: int, p: tuple) -> int:
     return sum(1 << p[i] for i in mask_members(mask, len(p)))
 
 
-def _orbit_representatives(cg: CompressedGraph, rep_sets) -> list:
-    """The first rep set of each orbit of `rep_sets`, in their order,
-    under the cover group combined with mirroring.
+def ordered_rep_sets(cg: CompressedGraph) -> list:
+    """The representative sets a solve reads, in solve order (fewest
+    representatives first, then by their (mask, tag) list): the first set
+    of each orbit under the cover group combined with mirroring.  Raises
+    ResourceCapExceeded when there are more than REP_SET_CAP labelled sets.
 
     Relabelling the cover by a group element, or mirroring a drawing
     (reversing every rotation), maps the clusterings of one rep set onto
@@ -244,17 +235,20 @@ def _orbit_representatives(cg: CompressedGraph, rep_sets) -> list:
     maps the mask and the tag through p, reverses the tag when mirroring,
     and rotates it to its canonical start.
     """
+    if count_rep_sets(cg, REP_SET_CAP) > REP_SET_CAP:
+        raise ResourceCapExceeded("representative-set cap exceeded")
     maps = [
         ({m: _mask_image(m, p) for m, _ in cg.h}, p, mirror)
         for p in _cover_group(cg) for mirror in (False, True)
     ]
+    by_key = {tuple((s.mask, s.tag) for s in rs.reps): rs
+              for rs in enumerate_rep_sets(cg)}
     seen = set()
     out = []
-    for rs in rep_sets:
-        key = tuple((s.mask, s.tag) for s in rs.reps)
+    for key in sorted(by_key, key=lambda key: (len(key), key)):
         if key in seen:
             continue
-        out.append(rs)
+        out.append(by_key[key])
         for masks, p, mirror in maps:
             seen.add(tuple(sorted(
                 (masks[m], canonical_cycle(tuple(
@@ -310,11 +304,11 @@ def _check_cover(cg: CompressedGraph):
 
 def enumerate_clusterings(cg: CompressedGraph, budget: int,
                           opts: PipelineOptions = PipelineOptions()):
-    """The clustering stream of a connected graph, such as one of
-    `component_split`'s components, at a fixed crossing budget, in solve
-    order.  The router raises ValueError on a disconnected graph."""
+    """The clustering stream of the rep sets a solve reads, at a fixed
+    crossing budget, for a connected graph such as one of `component_split`'s
+    components.  The router raises ValueError on a disconnected graph."""
     _check_cover(cg)
-    rep_sets = ordered_rep_sets(cg, REP_SET_CAP)
+    rep_sets = ordered_rep_sets(cg)
     stream = clustering_stream(cg, rep_sets, lambda i: budget, opts.clustering_cap)
     return (c for _, c in stream)
 
@@ -326,7 +320,7 @@ def _solve_component(cover: tuple, cg: CompressedGraph,
     instance = build_iqp(winner, cg)
     sol0 = solve_iqp(instance, opts.iqp_cap)
     value, weights, key = sol0.value, sol0.z, structural_key(winner.drawing)
-    rep_sets = _orbit_representatives(cg, ordered_rep_sets(cg, REP_SET_CAP))
+    rep_sets = ordered_rep_sets(cg)
     counts = [0] * len(rep_sets)
     cl_mins = [_cl_min(rs, cg) for rs in rep_sets]
     # distinct clusterings often give equal instances; solve each once

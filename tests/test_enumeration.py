@@ -28,10 +28,10 @@ from crossnum.graphs import (
     parse_compressed,
 )
 from crossnum.pipeline import (
-    REP_SET_CAP,
+    PipelineOptions,
+    clustering_stream,
     component_split,
     enumerate_clusterings,
-    ordered_rep_sets,
 )
 
 from cluster_reference import clusters as cluster_partition
@@ -102,11 +102,11 @@ def test_enumerate_clusterings_k23():
 
 
 def test_enumerate_clusterings_star():
-    # |Y| = 3, edgeless G_X: each rotation subset gives stars; the
-    # single-rep sets have exactly one drawing each
+    # |Y| = 3, edgeless G_X: the two single-rep sets are mirror images, so
+    # the stream reads one of them, and it has exactly one drawing
     cg = CompressedGraph.make(3, (), {7: 1})
     out = list(enumerate_clusterings(cg, 0))
-    assert len(out) == 2
+    assert len(out) == 1
     for c in out:
         assert crossing_count(c.drawing) == 0
 
@@ -124,9 +124,9 @@ def test_emitted_clusterings_validate_and_match_tags():
     c4 = ((0, 1), (1, 2), (2, 3), (0, 3))
     # golden streams pin the router's DFS emission order, not just counts
     cases = [
-        (CompressedGraph.make(3, ((0, 1),), {7: 2, 3: 1}), 1, 30, None),
-        (CompressedGraph.make(3, (), {7: 3}), 3, 21, "dump_k33_b3.txt"),
-        (CompressedGraph.make(4, c4, {15: 3}), 2, 111, "dump_c4p3_b2.txt"),
+        (CompressedGraph.make(3, ((0, 1),), {7: 2, 3: 1}), 1, 21, None),
+        (CompressedGraph.make(3, (), {7: 3}), 3, 20, "dump_k33_b3.txt"),
+        (CompressedGraph.make(4, c4, {15: 3}), 2, 43, "dump_c4p3_b2.txt"),
     ]
     for cg, budget, expected, golden in cases:
         seen = set()
@@ -159,7 +159,7 @@ def test_face_at_is_the_listed_face():
     cg = CompressedGraph.make(3, ((0, 1),), {7: 4, 3: 4, 5: 4})
     hosts = [(complete_bipartite(3, 3), None)] + [
         (rs.host_graph(cg.gx_edges), rs.tags_by_vertex())
-        for rs in ordered_rep_sets(cg, 1000)
+        for rs in enumerate_rep_sets(cg)
     ]
     emitted = 0
     for graph, tags in hosts:
@@ -186,7 +186,8 @@ def test_counts_independent_of_h_magnitude():
 
 
 def test_completeness_against_oracle_drawings():
-    """Every clustering extracted from an oracle drawing is emitted."""
+    """Every clustering extracted from an oracle drawing is emitted by the
+    router for its labelled rep set, orbit representative or not."""
     cases = [
         (complete_bipartite(2, 3), frozenset({0, 1}), 2),
         (complete_bipartite(3, 3), frozenset({0, 1, 2}), 2),
@@ -194,7 +195,10 @@ def test_completeness_against_oracle_drawings():
     for g, cover, cap in cases:
         cg = compress(g, cover)
         emitted = {}
-        for c in enumerate_clusterings(cg, cap + 1):
+        stream = clustering_stream(cg, list(enumerate_rep_sets(cg)),
+                                   lambda i: cap + 1,
+                                   PipelineOptions.clustering_cap)
+        for _, c in stream:
             emitted[structural_key(c.drawing)] = c
         relab_cover = {v: i for i, v in enumerate(sorted(cover))}
         for d in oracle_drawings(g, cap):
@@ -309,7 +313,7 @@ def test_forced_crossings_are_a_lower_bound(cg):
     crossings its tags force, so the solver may skip a set whose forced
     crossings exceed its budget."""
     for _, sub in component_split(cg)[0]:
-        for rs in ordered_rep_sets(sub, REP_SET_CAP):
+        for rs in enumerate_rep_sets(sub):
             forced = rs.forced_crossings()
             host = rs.host_graph(sub.gx_edges)
             for emb in enumerate_embeddings(host, rs.tags_by_vertex(),

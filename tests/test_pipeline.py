@@ -26,6 +26,7 @@ from crossnum.graphs import (
     isomorphic,
     parse_compressed,
 )
+from crossnum.enumeration import count_rep_sets
 from crossnum.iqp import build_iqp
 from crossnum.oracle import OracleCeilingExceeded, oracle_cr
 from crossnum.pipeline import (
@@ -513,12 +514,21 @@ def _cover_compressed(g):
 ], ids=["K6", "K44", "C4+3", "P4+3", "G3", "3-sets"])
 def test_one_rep_set_per_orbit(cg, labelled, orbits, value):
     """A solve reads the first rep set of each orbit under the cover group
-    and mirroring; the dump and enumerate_clusterings still list all."""
-    assert len(ordered_rep_sets(cg, REP_SET_CAP)) == labelled
+    and mirroring, and enumerate_clusterings, which the dump prints, reads
+    the same list in the same order."""
+    assert count_rep_sets(cg, REP_SET_CAP) == labelled
+    rep_sets = ordered_rep_sets(cg)
     rep = crossing_number(cg)
     (comp,) = rep.components
-    assert len(comp.rep_set_counts) == orbits
+    assert len(rep_sets) == orbits == len(comp.rep_set_counts)
     assert rep.value == value
+    # at the value: at the chord budget K6 and K44 route for minutes
+    streamed = []
+    for c in enumerate_clusterings(cg, value):
+        if c.reps not in streamed:
+            streamed.append(c.reps)
+    listed = [rs.reps for rs in rep_sets]
+    assert streamed == [reps for reps in listed if reps in streamed]
 
 
 @pytest.mark.parametrize("cg, counts, skipped", [
@@ -562,7 +572,8 @@ def _solve_every_rep_set(cg):
     with pytest.MonkeyPatch.context() as mp:
         import crossnum.pipeline as pipeline
 
-        mp.setattr(pipeline, "_orbit_representatives", lambda cg, rs: rs)
+        # no cover maps, not even the identity: no rep set is dropped
+        mp.setattr(pipeline, "_cover_group", lambda cg: [])
         return crossing_number(cg)
 
 
@@ -594,7 +605,7 @@ def symmetric_covers(draw):
             h.setdefault(image, count)
     cg = CompressedGraph.make(k, sorted(gx), h)
     assume(cg.total_vertices() <= 8)
-    assume(len(ordered_rep_sets(cg, REP_SET_CAP)) <= 24)
+    assume(count_rep_sets(cg, REP_SET_CAP) <= 24)
     return cg
 
 
