@@ -212,7 +212,6 @@ def compress(g: Graph, cover: frozenset[int]) -> CompressedGraph:
         for u, v in g.edges
         if u in cover and v in cover
     ]
-    gx = [(a, b) if a < b else (b, a) for a, b in gx]
     h: dict[int, int] = {}
     for v in g.vertices:
         if v in cover:
