@@ -14,6 +14,7 @@ from crossnum.drawing import (
     zee,
 )
 from crossnum.embedding import Emb
+from crossnum.enumeration import count_rep_sets
 from crossnum.geometry import convex_position_drawing
 from crossnum.graphs import (
     CompressedGraph,
@@ -26,7 +27,6 @@ from crossnum.graphs import (
     isomorphic,
     parse_compressed,
 )
-from crossnum.enumeration import count_rep_sets
 from crossnum.iqp import build_iqp
 from crossnum.oracle import OracleCeilingExceeded, oracle_cr
 from crossnum.pipeline import (
@@ -523,10 +523,8 @@ def test_one_rep_set_per_orbit(cg, labelled, orbits, value):
     assert len(rep_sets) == orbits == len(comp.rep_set_counts)
     assert rep.value == value
     # at the value: at the chord budget K6 and K44 route for minutes
-    streamed = []
-    for c in enumerate_clusterings(cg, value):
-        if c.reps not in streamed:
-            streamed.append(c.reps)
+    streamed = list(dict.fromkeys(
+        c.reps for c in enumerate_clusterings(cg, value)))
     listed = [rs.reps for rs in rep_sets]
     assert streamed == [reps for reps in listed if reps in streamed]
 
