@@ -2,8 +2,8 @@
 
 A representative set picks, for every present neighborhood, a nonempty set
 of cyclic orders; the router then enumerates all good drawings of the cover
-subgraph plus one star per chosen (neighborhood, rotation), up to a crossing
-budget, with each representative's rotation pinned to its tag.
+subgraph plus one star per chosen (neighborhood, rotation), up to a budget on
+weighted crossings, with each representative's rotation pinned to its tag.
 """
 
 from __future__ import annotations
@@ -157,28 +157,34 @@ class _Router:
     first endpoint has no edge yet lists every face to start in.
     """
 
-    def __init__(self, graph, fixed_rotations, bound_fn):
+    def __init__(self, graph, fixed_rotations, bound_fn, weights):
         self.graph = graph
         self.bound_fn = bound_fn
         self.order = _connected_edge_order(graph)
         self.tags = fixed_rotations or {}
+        weights = weights or {}
+        self.weight = {
+            e: weights.get(e[0], 1) * weights.get(e[1], 1) for e in graph.edges
+        }
 
     def run(self):
         emb = Emb()
         for v in self.graph.vertices:
             emb.add_vertex(v)
-        yield from self._place(emb, 0)
+        yield from self._place(emb, 0, 0)
 
-    def _place(self, emb, idx):
+    def _place(self, emb, idx, cost):
+        """Draw the edges from `idx` on into `emb`, whose crossings cost
+        `cost` in all."""
         if idx == len(self.order):
             yield emb
             return
         edge = self.order[idx]
-        budget_left = self.bound_fn() - emb.crossing_count()
+        budget_left = self.bound_fn() - cost
         if budget_left < 0:
             return
-        for child in self._route(emb, edge, budget_left):
-            yield from self._place(child, idx + 1)
+        for child, spent in self._route(emb, edge, budget_left):
+            yield from self._place(child, idx + 1, cost + spent)
 
     # -- incremental routing ------------------------------------------------
 
@@ -198,7 +204,8 @@ class _Router:
         return (drawn.index(after[0]) if after else 0,)
 
     def _route(self, emb, edge, budget_left):
-        """Yield copies of `emb` with `edge` drawn, one per distinct route.
+        """Yield (copy of `emb` with `edge` drawn, cost of its crossings),
+        one per distinct route whose crossings cost at most `budget_left`.
 
         The route never crosses an edge at `edge[1]`, so that vertex's ring,
         and with it the gaps the route may end at, stay fixed throughout."""
@@ -213,21 +220,27 @@ class _Router:
             starts = [(0, cycle) for cycle in emb.faces()] or [(0, ())]
         for pos, cycle in starts:
             yield from self._grow(
-                emb, edge, ends, vnode(u), pos, cycle, frozenset(), budget_left
+                emb, edge, ends, vnode(u), pos, cycle, frozenset(), 0,
+                budget_left,
             )
 
-    def _grow(self, emb, edge, ends, node, pos, cycle, crossed, budget):
+    def _grow(self, emb, edge, ends, node, pos, cycle, crossed, spent,
+              budget):
         """Extend the partial route ending at `node` (ring gap `pos`) inside
         the face `cycle`, which is () while nothing is drawn, and finish it
-        at each gap of `ends` that the face reaches."""
+        at each gap of `ends` that the face reaches.  The route's crossings
+        so far cost `spent`; a crossing that would take it over `budget` is
+        not tried."""
         ring_v = emb.rot[vnode(edge[1])]
         on_face = set(cycle)
         for end_pos in ends:
             if not ring_v or ring_v[end_pos] in on_face:
                 child = emb.copy()
                 child.finish_edge(edge, node, pos, end_pos)
-                yield child
-        if budget <= len(crossed):
+                yield child, spent
+        w = self.weight[edge]
+        # every edge weighs at least 1, so each crossing costs at least w
+        if budget < spent + w:
             return
         u, v = edge
         for dart in cycle:
@@ -235,32 +248,41 @@ class _Router:
             # an edge may not cross itself, an adjacent edge or one edge twice
             if u in g or v in g or g in crossed:
                 continue
+            cost = spent + w * self.weight[g]
+            if cost > budget:
+                continue
             child = emb.copy()
             x = child.cross_dart(edge, node, pos, dart)
             # the route continues in the face of the dummy's open slot
             yield from self._grow(
                 child, edge, ends, x, None, child.face_at(child.rot[x][1]),
-                crossed | {g}, budget,
+                crossed | {g}, cost, budget,
             )
 
 
-def enumerate_embeddings(graph, fixed_rotations, bound_fn):
-    """All sphere drawings of the connected `graph` with at most
-    `bound_fn()` crossings.
+def enumerate_embeddings(graph, fixed_rotations, bound_fn, weights=None):
+    """All sphere drawings of the connected `graph` whose crossings cost at
+    most `bound_fn()`.
 
-    `fixed_rotations` (or None) pins cyclic neighbor orders at chosen
-    vertices of `graph`; `bound_fn` is re-read at every step, so a caller
-    may tighten the budget while the stream runs (branch-and-bound).  Yields
+    A crossing of edges e and f costs w(e)·w(f), where an edge weighs the
+    product of its ends' `weights` (vertex -> int >= 1; a vertex it omits,
+    and every vertex when it is None, weighs 1, so the cost is then the
+    crossing count).  `fixed_rotations` (or None) pins cyclic neighbor
+    orders at chosen vertices of `graph`; `bound_fn` is re-read at every
+    step, so a caller may tighten the budget while the stream runs
+    (branch-and-bound).  Yields
     Emb objects in deterministic DFS order, each emitted structure distinct.
     Raises ValueError on a disconnected graph (the pipeline splits its input
-    into connected components before it builds any host) and on a pinned
-    vertex outside the graph.
+    into connected components before it builds any host), on a pinned
+    vertex outside the graph and on a weight below 1.
     """
     if not graph.is_connected():
         raise ValueError("router host graph is disconnected")
     if not set(fixed_rotations or ()) <= set(graph.vertices):
         raise ValueError("rotation pinned at a vertex outside the host graph")
-    yield from _Router(graph, fixed_rotations, bound_fn).run()
+    if any(w < 1 for w in (weights or {}).values()):
+        raise ValueError("router vertex weights must be at least 1")
+    yield from _Router(graph, fixed_rotations, bound_fn, weights).run()
 
 
 # ---------------------------------------------------------------------------

@@ -258,17 +258,41 @@ def ordered_rep_sets(cg: CompressedGraph) -> list:
     return out
 
 
+def _router_weights(rs: RepresentativeSet, cg: CompressedGraph) -> dict:
+    """The router's vertex weights for `rs`: h(Y) for a representative
+    alone in its neighborhood's group; every other vertex weighs 1."""
+    by_mask: dict[int, list] = {}
+    for spec in rs.reps:
+        by_mask.setdefault(spec.mask, []).append(spec.vertex)
+    h = cg.h_map
+    return {vs[0]: h[m] for m, vs in by_mask.items() if len(vs) == 1}
+
+
 def clustering_stream(cg: CompressedGraph, rep_sets, budget, cap: int,
                       tag_skipped: list | None = None):
     """Yield (i, clustering) for the clusterings of each `rep_sets[i]` in
     turn, in router DFS order, pairwise distinct.  `budget(i)` is re-read
     at every router step, so the caller may tighten it as the stream runs.
+
+    The budget counts weighted crossings (`_router_weights`): a crossing of
+    two edges costs the product of their ends' weights, so one on the star
+    of a representative alone in its group costs h(Y) or h(Y)·h(Y').  This
+    is exact for the solve's budget `value − 1 − _cl_min`.  A clustering's
+    IQP value is r + Σ p_a z_a + Σ_{a<b} Q_ab z_a z_b + Σ Z(|Y_a|)·C(z_a, 2).
+    A lone representative has z_a = h(Y) at every feasible point.  Every
+    other representative may be taken as z_a ≥ 1: a clustering that gives
+    one weight 0 is a clustering of the smaller rep set, whose orbit is
+    also solved.  Each drawn crossing then adds at least its cost to the
+    first three terms, the last is at least `_cl_min`, and so
+    value ≥ `_cl_min` + (weighted crossings): every drawing over budget has
+    a value of at least the incumbent.
+
     A rep set is skipped unrouted when its budget is already negative, or
     when its tags force more crossings than its budget
     (`RepresentativeSet.forced_crossings`): every drawing of its host has
-    at least that many crossings, so its router would emit nothing; the
-    index of each set skipped for its tags is appended to `tag_skipped`
-    when one is given.  Raises
+    at least that many crossings, each costing at least 1, so its router
+    would emit nothing; the index of each set skipped for its tags is
+    appended to `tag_skipped` when one is given.  Raises
     ResourceCapExceeded when a clustering beyond the first `cap` exists,
     and when the router's nested generators outgrow the recursion limit.
     """
@@ -283,7 +307,8 @@ def clustering_stream(cg: CompressedGraph, rep_sets, budget, cap: int,
             continue
         host = rs.host_graph(cg.gx_edges)
         try:
-            for emb in enumerate_embeddings(host, rs.tags_by_vertex(), bound):
+            for emb in enumerate_embeddings(host, rs.tags_by_vertex(), bound,
+                                            _router_weights(rs, cg)):
                 seen += 1
                 if seen > cap:
                     raise ResourceCapExceeded(
@@ -305,7 +330,7 @@ def _check_cover(cg: CompressedGraph):
 def enumerate_clusterings(cg: CompressedGraph, budget: int,
                           opts: PipelineOptions = PipelineOptions()):
     """The clustering stream of the rep sets a solve reads, at a fixed
-    crossing budget, for a connected graph such as one of `component_split`'s
+    budget on weighted crossings (see `clustering_stream`), for a connected graph such as one of `component_split`'s
     components.  The router raises ValueError on a disconnected graph."""
     _check_cover(cg)
     rep_sets = ordered_rep_sets(cg)

@@ -204,6 +204,20 @@ def test_dump_clusterings(tmp_path):
     assert capped.count("clustering ") == n - 1
 
 
+def test_dump_ends_at_the_chord_budget(tmp_path):
+    # three representatives, each alone in its group with h = 4: a
+    # crossing on their stars costs 4 or 16 against the chord budget of
+    # 7, so the dump ends after 328 clusterings; charged 1 a crossing,
+    # the stream ran into the millions
+    p = tmp_path / "g3.txt"
+    p.write_text("3\ngx 0 1\nh 7 4\nh 3 4\nh 5 4\n")
+    args = [str(p), "--format", "compressed", "--mode", "dump-clusterings"]
+    code, out, _ = run_cli(args + ["--budget-cap", "328"])
+    assert code == EXIT_OK and out.count("clustering ") == 328
+    code, _, err = run_cli(args + ["--budget-cap", "327"])
+    assert code == EXIT_CAP and "clustering cap hit" in err
+
+
 def test_main_inprocess(tmp_path):
     # exercise the entry point without a subprocess as well
     src = write_k33(tmp_path)
@@ -408,17 +422,17 @@ def test_negative_count_option_is_a_parse_error(tmp_path, option):
 
 def test_budget_cap_counts_per_component(tmp_path):
     # two copies of one component: a cover edge 0-1, one vertex on
-    # {0, 1} and two on {0, 1, 2}; a solve sees 8 clusterings in each,
-    # 16 in all
+    # {0, 1} and two on {0, 1, 2}; a solve sees 4 clusterings in each,
+    # 8 in all
     p = tmp_path / "pair.txt"
     p.write_text("6\ngx 0 1\ngx 3 4\nh 3 1\nh 7 2\nh 24 1\nh 56 2\n")
     code, out, _ = run_cli([str(p), "--format", "compressed",
-                            "--budget-cap", "8"])
+                            "--budget-cap", "4"])
     assert code == EXIT_OK and out == "0\n"
     code, out, err = run_cli([str(p), "--format", "compressed",
-                              "--budget-cap", "7"])
+                              "--budget-cap", "3"])
     assert code == EXIT_CAP and out == ""
-    assert "more than 7 clusterings" in err
+    assert "more than 3 clusterings" in err
 
 
 def test_dump_walks_the_solvers_components(tmp_path):

@@ -124,9 +124,9 @@ def test_emitted_clusterings_validate_and_match_tags():
     c4 = ((0, 1), (1, 2), (2, 3), (0, 3))
     # golden streams pin the router's DFS emission order, not just counts
     cases = [
-        (CompressedGraph.make(3, ((0, 1),), {7: 2, 3: 1}), 1, 21, None),
+        (CompressedGraph.make(3, ((0, 1),), {7: 2, 3: 1}), 1, 14, None),
         (CompressedGraph.make(3, (), {7: 3}), 3, 20, "dump_k33_b3.txt"),
-        (CompressedGraph.make(4, c4, {15: 3}), 2, 43, "dump_c4p3_b2.txt"),
+        (CompressedGraph.make(4, c4, {15: 3}), 2, 23, "dump_c4p3_b2.txt"),
     ]
     for cg, budget, expected, golden in cases:
         seen = set()
@@ -246,6 +246,51 @@ def test_tags_equal_the_untagged_stream_filtered():
         filtered = [t for t in untagged if fits(drawing_from_text(t))]
         assert (len(filtered), len(untagged)) == (kept, total)
         assert texts(tags) == filtered
+
+
+def test_weights_equal_the_unweighted_stream_filtered():
+    """At a fixed budget, the weighted stream is the unweighted one
+    filtered to the drawings whose crossings cost at most the budget, in
+    the same order: a crossing of e and f costs w(e)·w(f), and an edge
+    weighs the product of its ends' weights."""
+    from crossnum.graphs import complete_graph
+
+    # a cover edge 0-1 under two stars on {0, 1, 2}, and two stars on
+    # four leaves: crossings of the two stars cost 12, of the edge and a
+    # star 3 or 4
+    two_stars = Graph.from_edges(
+        [(0, 1)] + [(x, c) for x in range(3) for c in (3, 4)])
+    two_stars4 = Graph.from_edges([(x, c) for x in range(4) for c in (4, 5)])
+    cases = [
+        (complete_bipartite(3, 3), None, {3: 2}, 3, 48, 792),
+        (complete_graph(5), {0: (1, 2, 3, 4)}, {0: 2}, 5, 29, 69),
+        (two_stars, {3: (0, 1, 2), 4: (0, 2, 1)}, {3: 3, 4: 4}, 12, 3, 33),
+        (two_stars4, {4: (0, 1, 2, 3), 5: (0, 1, 2, 3)}, {4: 3, 5: 4}, 24,
+         8, 120),
+    ]
+    for graph, tags, weights, budget, kept, total in cases:
+        def drawings(vertex_weights):
+            return [emb.to_drawing(graph) for emb in enumerate_embeddings(
+                graph, tags, lambda: budget, vertex_weights)]
+
+        w = {v: weights.get(v, 1) for v in graph.vertices}
+
+        def cost(d):
+            return sum(w[e[0]] * w[e[1]] * w[f[0]] * w[f[1]]
+                       for e, f in d.crossing_pairs.values())
+
+        unweighted = [(drawing_to_text(d), cost(d)) for d in drawings(None)]
+        filtered = [t for t, c in unweighted if c <= budget]
+        assert (len(filtered), len(unweighted)) == (kept, total)
+        assert [drawing_to_text(d) for d in drawings(weights)] == filtered
+
+
+def test_router_rejects_a_weight_below_one():
+    import pytest
+
+    star = complete_bipartite(1, 3)
+    with pytest.raises(ValueError, match="at least 1"):
+        next(enumerate_embeddings(star, None, lambda: 0, {0: 0}))
 
 
 def test_router_rejects_disconnected_hosts():
