@@ -168,7 +168,7 @@ def test_golden_drawings_build_well_formed_embeddings(name):
     # validate_good leaves these invariants to Emb.add_drawing
     texts = (GOLDEN / name).read_text().split("drawing\n")[1:]
     assert len(texts) == {"dump_k33_b3.txt": 20,
-                          "dump_c4p3_b2.txt": 43}.get(name, 1)
+                          "dump_c4p3_b2.txt": 23}.get(name, 1)
     for text in texts:
         d = drawing_from_text(text)
         assert validate_good(d).ok
