@@ -270,8 +270,8 @@ def enumerate_embeddings(graph, fixed_rotations, bound_fn, weights=None):
     crossing count).  `fixed_rotations` (or None) pins cyclic neighbor
     orders at chosen vertices of `graph`; `bound_fn` is re-read at every
     step, so a caller may tighten the budget while the stream runs
-    (branch-and-bound).  Yields
-    Emb objects in deterministic DFS order, each emitted structure distinct.
+    (branch-and-bound).  Yields Emb objects in deterministic DFS order,
+    each emitted structure distinct.
     Raises ValueError on a disconnected graph (the pipeline splits its input
     into connected components before it builds any host), on a pinned
     vertex outside the graph and on a weight below 1.

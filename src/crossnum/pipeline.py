@@ -330,8 +330,9 @@ def _check_cover(cg: CompressedGraph):
 def enumerate_clusterings(cg: CompressedGraph, budget: int,
                           opts: PipelineOptions = PipelineOptions()):
     """The clustering stream of the rep sets a solve reads, at a fixed
-    budget on weighted crossings (see `clustering_stream`), for a connected graph such as one of `component_split`'s
-    components.  The router raises ValueError on a disconnected graph."""
+    budget on weighted crossings (see `clustering_stream`), for a connected
+    graph such as one of `component_split`'s components.  The router raises
+    ValueError on a disconnected graph."""
     _check_cover(cg)
     rep_sets = ordered_rep_sets(cg)
     stream = clustering_stream(cg, rep_sets, lambda i: budget, opts.clustering_cap)
