@@ -83,6 +83,12 @@ def build_parser():
     return p
 
 
+# Built once, when the module loads: argparse's first message lookup
+# imports `locale`, whose regular expressions take more stack than a caller
+# with a tight recursion limit may leave to main().
+PARSER = build_parser()
+
+
 def _load(args) -> CompressedGraph:
     with open(args.input) as fh:
         text = fh.read()
@@ -94,14 +100,13 @@ def _load(args) -> CompressedGraph:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     if args.mode != "solve" and (args.out_report or args.out_drawing
                                  or args.out_svg):
-        parser.error("--out-report, --out-drawing and --out-svg apply only "
+        PARSER.error("--out-report, --out-drawing and --out-svg apply only "
                      "to --mode solve")
     if args.mode != "solve" and args.verbose:
-        parser.error("-v applies only to --mode solve")
+        PARSER.error("-v applies only to --mode solve")
     try:
         cg = _load(args)
     except CoverSizeExceeded as exc:

@@ -6,8 +6,6 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-import networkx as nx
-
 
 class CoverSizeExceeded(Exception):
     """No vertex cover of the requested size exists."""
@@ -241,7 +239,10 @@ def expand(cg: CompressedGraph) -> Graph:
 # isomorphisms
 
 
-def _nx_graph(g: Graph) -> nx.Graph:
+def _nx_graph(g: Graph):
+    """g as a networkx graph."""
+    import networkx as nx
+
     ng = nx.Graph()
     ng.add_nodes_from(g.vertices)
     ng.add_edges_from(g.edges)
@@ -250,6 +251,8 @@ def _nx_graph(g: Graph) -> nx.Graph:
 
 def isomorphic(g1: Graph, g2: Graph) -> bool:
     """Whether g1 and g2 are isomorphic (networkx's VF2)."""
+    import networkx as nx
+
     return nx.is_isomorphic(_nx_graph(g1), _nx_graph(g2))
 
 

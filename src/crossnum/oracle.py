@@ -6,6 +6,8 @@ Deliberately independent of the pipeline's enumeration machinery:
 candidates are sets of pairs of independent edges, their symmetry comes
 from the automorphisms of the input graph itself (not from the solver's
 cover group), and planarity testing is networkx's left-right test.
+networkx is imported where it is first needed, so importing this module,
+or solving without the oracle, does not load it.
 
 Two reductions keep the search small; neither changes the value.
 
@@ -32,8 +34,6 @@ from __future__ import annotations
 import itertools
 from operator import add
 
-import networkx as nx
-
 from .graphs import Graph, _nx_graph, automorphisms
 
 
@@ -52,6 +52,8 @@ MAX_WORK = 20_000_000
 
 def is_planar(g: Graph) -> bool:
     """Standalone planarity test (left-right algorithm via networkx)."""
+    import networkx as nx
+
     ok, _ = nx.check_planarity(_nx_graph(g), counterexample=False)
     return ok
 
@@ -90,6 +92,8 @@ def _order_assignments(pair_set):
 def _planarization_nx(g: Graph, pair_set, orders):
     """The configuration as a networkx graph: each edge becomes a path
     through a dummy node ("x", i) for each crossing pair i on it."""
+    import networkx as nx
+
     ng = nx.Graph()
     ng.add_nodes_from(g.vertices)
     for e in g.edges:
@@ -120,6 +124,8 @@ def _pair_permutations(g: Graph, pairs) -> list[tuple[int, ...]]:
 def _planar_edge_bound(g: Graph) -> int:
     """Most edges a plane subgraph of the non-planar g can keep on all of
     g's vertices: floor(girth (n - 2) / (girth - 2))."""
+    import networkx as nx
+
     girth = nx.girth(_nx_graph(g))
     return girth * (len(g.vertices) - 2) // (girth - 2)
 
@@ -186,6 +192,8 @@ def oracle_cr(g: Graph, max_crossings: int = MAX_CROSSINGS) -> int:
     """
     if len(g.edges) > MAX_EDGES or len(g.vertices) > MAX_VERTICES:
         raise OracleCeilingExceeded("graph outside oracle size limits")
+    import networkx as nx
+
     if max_crossings >= 0 and is_planar(g):
         return 0
     pairs = _nonadjacent_pairs(g)

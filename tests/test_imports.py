@@ -1,9 +1,13 @@
 """Every name a package module imports is used in that module, every
 private helper of the package has a caller, and every public function,
 class and method of the package is read by the package or its benchmark,
-apart from a few named exemptions that only tests read."""
+apart from a few named exemptions that only tests read; and no package
+module loads networkx until the oracle or `isomorphic` needs it."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -99,3 +103,49 @@ def test_public_name_is_read_outside_tests(path):
         and named[d.name] == _named(d)[d.name]
     ]
     assert unread == []
+
+
+def _import_time_imports(node):
+    """The modules that importing `node`'s module imports: every import
+    statement outside a function body (class bodies and `if` or `try`
+    blocks run at import)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            yield from (a.name for a in child.names)
+        elif isinstance(child, ast.ImportFrom) and child.module:
+            yield child.module
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.Lambda)):
+            yield from _import_time_imports(child)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_networkx_is_not_imported_at_module_level(path):
+    """networkx is only for the oracle and `isomorphic`; a module-level
+    import would make every solve pay for loading it."""
+    tops = _import_time_imports(ast.parse(path.read_text()))
+    assert [m for m in tops if m.split(".")[0] == "networkx"] == []
+
+
+def test_solve_loads_no_networkx_and_the_oracle_does(tmp_path):
+    """In a fresh process: importing the package and the CLI, and a
+    default solve, leave networkx unloaded; the oracle loads it."""
+    p = tmp_path / "k3e18.txt"
+    p.write_text("3\nh 7 1000000000000000000\n")
+    code = (
+        "import sys\n"
+        "import crossnum, crossnum.cli\n"
+        "assert 'networkx' not in sys.modules\n"
+        f"assert crossnum.cli.main([{str(p)!r}, '--format', 'compressed'])"
+        " == 0\n"
+        "assert 'networkx' not in sys.modules\n"
+        "from crossnum.graphs import complete_bipartite\n"
+        "assert crossnum.oracle_cr(complete_bipartite(3, 3)) == 1\n"
+        "assert 'networkx' in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "249999999999999999500000000000000000\n"
