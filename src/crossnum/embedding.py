@@ -115,11 +115,38 @@ class Emb:
 
         A component with an edge has V - E + F = 2 - 2g with genus g >= 0,
         so the sum over those components is 2 per component only when every
-        genus is 0.  An isolated node fills its own sphere."""
-        isolated = sum(1 for ring in self.rot.values() if not ring)
+        genus is 0.  An isolated node fills its own sphere.
+
+        The faces are counted in one pass: each ring gives the face
+        successor of the reversal of each of its darts, and the cycles of
+        that map are popped one at a time.  A ring dart whose segment is
+        gone or that does not leave the ring's node, and a segment dart
+        that is in no ring or in two, make the check fail."""
+        segs = self.segs
+        after = {}  # dart -> the next dart of its face (`succ`)
+        darts = isolated = 0
+        for node, ring in self.rot.items():
+            if not ring:
+                isolated += 1
+                continue
+            darts += len(ring)
+            prev = ring[-1]
+            for d in ring:
+                seg = segs.get(d[0])
+                if seg is None or seg[d[1]] != node:
+                    return False
+                after[prev[0], 1 - prev[1]] = d
+                prev = d
+        if len(after) != darts or darts != 2 * len(segs):
+            return False
+        faces = 0
+        while after:
+            start, d = after.popitem()
+            while d != start:
+                d = after.pop(d)
+            faces += 1
         comps = len(self.components()) - isolated
-        euler = len(self.rot) - isolated - len(self.segs) + len(self.faces())
-        return euler == 2 * comps
+        return len(self.rot) - isolated - len(segs) + faces == 2 * comps
 
     # -- surgery ----------------------------------------------------------
 

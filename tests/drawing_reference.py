@@ -1,5 +1,6 @@
 """References for the drawing tests: the planarization's traced faces,
-which `crossnum.drawing.structural_key` is checked against, and the
+which `crossnum.drawing.structural_key` is checked against, the Euler
+count over `Emb.faces`, which `Emb.euler_ok` is checked against, and the
 structural invariants of an embedding, which `Emb.add_drawing` meets by
 construction on every table that `validate_good` accepts."""
 
@@ -28,6 +29,15 @@ def validate_structure(emb: Emb):
     in_rings = {d for ring in emb.rot.values() for d in ring}
     if darts != in_rings:
         raise ValueError("rotation rings do not cover all darts")
+
+
+def euler_reference(emb: Emb) -> bool:
+    """V - E + F == 2 on every component with an edge, with F counted by
+    `Emb.faces` and the components by `Emb.components`."""
+    isolated = sum(1 for ring in emb.rot.values() if not ring)
+    comps = len(emb.components()) - isolated
+    faces = len(emb.faces())
+    return len(emb.rot) - isolated - len(emb.segs) + faces == 2 * comps
 
 
 def _canonical_dart(emb: Emb, dart):

@@ -25,7 +25,7 @@ from cluster_reference import (
     clusters,
     noncluster_count,
 )
-from drawing_reference import canonical_key, validate_structure
+from drawing_reference import canonical_key, euler_reference, validate_structure
 from oracle_reference import oracle_drawings
 
 F = Fraction
@@ -173,6 +173,42 @@ def test_golden_drawings_build_well_formed_embeddings(name):
         d = drawing_from_text(text)
         assert validate_good(d).ok
         validate_structure(d.emb())
+
+
+def _golden_drawings():
+    for p in sorted(GOLDEN.glob("*.txt")):
+        if p.name.startswith(("lifted_", "dump_")):
+            for text in p.read_text().split("drawing\n")[1:]:
+                yield drawing_from_text(text)
+
+
+def test_euler_ok_matches_the_face_count():
+    """The one-pass face count agrees with V - E + F over `faces()` on
+    every golden drawing, and on each with its least crossing's
+    orientation bit flipped, which leaves no sphere embedding."""
+    flipped = []
+    for d in _golden_drawings():
+        assert d.emb().euler_ok() is euler_reference(d.emb()) is True
+        if d.orientations:
+            bits = dict(d.orientations)
+            bits[min(bits)] ^= 1
+            bad = CombinatorialDrawing.make(
+                d.graph, dict(d.sequences), dict(d.rotations), bits).emb()
+            flipped.append(bad.euler_ok())
+            assert flipped[-1] is euler_reference(bad)
+    assert len(flipped) == 44 and flipped.count(True) == 0
+
+
+def test_euler_ok_fails_closed_on_a_broken_ring():
+    """A dart missing from its ring, or a ring dart whose segment is
+    gone, fails the check instead of raising."""
+    d = drawing_from_text((GOLDEN / "lifted_k35.txt").read_text())
+    emb = d.emb()
+    emb.rot[("v", 0)].pop()
+    assert emb.euler_ok() is False
+    emb = d.emb()
+    del emb.segs[emb.rot[("v", 0)][0][0]]
+    assert emb.euler_ok() is False
 
 
 def test_validate_unrealizable():
