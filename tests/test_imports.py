@@ -135,17 +135,18 @@ def test_solve_loads_no_networkx_and_the_oracle_does(tmp_path):
     code = (
         "import sys\n"
         "import crossnum, crossnum.cli\n"
-        "assert 'networkx' not in sys.modules\n"
-        f"assert crossnum.cli.main([{str(p)!r}, '--format', 'compressed'])"
-        " == 0\n"
-        "assert 'networkx' not in sys.modules\n"
+        "print('networkx' in sys.modules)\n"
+        f"print(crossnum.cli.main([{str(p)!r}, '--format', 'compressed']))\n"
+        "print('networkx' in sys.modules)\n"
         "from crossnum.graphs import complete_bipartite\n"
-        "assert crossnum.oracle_cr(complete_bipartite(3, 3)) == 1\n"
-        "assert 'networkx' in sys.modules\n"
+        "print(crossnum.oracle_cr(complete_bipartite(3, 3)),"
+        " 'networkx' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         timeout=120, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "249999999999999999500000000000000000\n"
+    assert proc.stdout.split("\n") == [
+        "False", "249999999999999999500000000000000000", "0", "False",
+        "1 True", ""]
