@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage error, unreadable input path or input
-parse error, 3 vertex-cover size exceeded, 4 resource cap exceeded,
-1 anything else.
+Exit codes: 0 success, 2 usage error, unreadable input path, unwritable
+output path or input parse error, 3 vertex-cover size exceeded,
+4 resource cap exceeded, 1 anything else.
 """
 
 from __future__ import annotations
@@ -135,6 +135,9 @@ def main(argv=None) -> int:
     except (ClusteringMismatch, UnrealizableDrawing, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except OSError as exc:  # an --out-* path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 def _run_solve(cg, opts, args) -> int:

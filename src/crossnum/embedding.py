@@ -4,9 +4,9 @@ vertices at crossings, face tracing, and Euler-based sphere checks.
 Nodes are ('v', vertex) for original vertices and ('x', crossing_id) for
 dummies.  A drawing edge (u, v) is a chain of segments oriented u -> v; a
 dart is (segment_id, end) where end 0 points along the chain.  Rotations
-list outgoing darts in counterclockwise order and faces are traced with
-succ(d) = rotation-successor of rev(d) at head(d); a rotation system is a
-sphere embedding iff V - E + F = 2 on every connected component.
+list outgoing darts in counterclockwise order, and a face's dart after d
+is the rotation-successor of rev(d) at the head of d; a rotation system is
+a sphere embedding iff V - E + F = 2 on every connected component.
 """
 
 from __future__ import annotations
@@ -30,15 +30,9 @@ class Emb:
         self.chains: dict[tuple, list[int]] = {}  # edge -> seg ids, u->v
         self.rot: dict[tuple, list[tuple]] = {}   # node -> outgoing darts
         self._next_seg = 0
-        self._next_x = 0  # crossings are never removed, so also their count
+        self._next_x = 0  # the next free crossing id
 
     # -- dart algebra ---------------------------------------------------
-
-    def tail(self, dart):
-        return self.segs[dart[0]][dart[1]]
-
-    def head(self, dart):
-        return self.segs[dart[0]][1 - dart[1]]
 
     def edge_of(self, dart):
         return self.segs[dart[0]][2]
@@ -51,13 +45,6 @@ class Emb:
         """The dart of `edge` that leaves its end v."""
         chain = self.chains[edge]
         return (chain[-1], 1) if edge[1] == v else (chain[0], 0)
-
-    def succ(self, dart):
-        """Next dart along the face containing `dart`."""
-        w = self.head(dart)
-        ring = self.rot[w]
-        i = ring.index(self.rev(dart))
-        return ring[(i + 1) % len(ring)]
 
     def copy(self) -> "Emb":
         e = Emb.__new__(Emb)
@@ -76,33 +63,32 @@ class Emb:
             self.rot[node] = []
         return node
 
-    def crossing_count(self) -> int:
-        return self._next_x
-
-    def all_darts(self):
-        for sid in sorted(self.segs):
-            yield (sid, 0)
-            yield (sid, 1)
-
     def faces(self):
         """All face cycles (tuples of darts), each traced from its least
         dart, in the order of those darts."""
         seen = set()
         out = []
-        for d in self.all_darts():
-            if d not in seen:
-                out.append(self.face_at(d))
-                seen.update(out[-1])
+        for sid in sorted(self.segs):
+            for d in ((sid, 0), (sid, 1)):
+                if d not in seen:
+                    out.append(self.face_at(d))
+                    seen.update(out[-1])
         return out
 
     def face_at(self, dart):
         """The face cycle through `dart`, as `faces()` lists it: traced
-        from the cycle's least dart."""
+        from the cycle's least dart.  The dart after d is the one after
+        rev(d) in the ring at the head of d."""
+        segs, rot = self.segs, self.rot
         cycle = [dart]
-        d = self.succ(dart)
-        while d != dart:
+        seg, end = dart
+        while True:
+            ring = rot[segs[seg][1 - end]]
+            d = ring[(ring.index((seg, 1 - end)) + 1) % len(ring)]
+            if d == dart:
+                break
             cycle.append(d)
-            d = self.succ(d)
+            seg, end = d
         i = cycle.index(min(cycle))
         return tuple(cycle[i:] + cycle[:i])
 
@@ -123,7 +109,7 @@ class Emb:
         gone or that does not leave the ring's node, and a segment dart
         that is in no ring or in two, make the check fail."""
         segs = self.segs
-        after = {}  # dart -> the next dart of its face (`succ`)
+        after = {}  # dart -> the next dart of its face
         darts = isolated = 0
         for node, ring in self.rot.items():
             if not ring:
@@ -158,7 +144,7 @@ class Emb:
 
     def _split(self, dart, node):
         """Split the segment under `dart` at `node`; returns the dummy's
-        darts toward head(dart) and toward tail(dart)."""
+        darts toward the head and toward the tail of `dart`."""
         seg, end = dart
         ga, gb, g = self.segs[seg]
         s1 = self._new_seg(ga, node, g)
@@ -187,10 +173,10 @@ class Emb:
         """Draw a piece of `edge` from `node` (ring gap `pos`) across the
         segment under `dart`, ending at a new dummy, which is returned.
 
-        The dummy's ring is [toward head(dart), toward tail(dart), back
-        along `edge`]; the next piece fills the open forward slot between
-        the first two (faces sit on the right of their darts, so the
-        forward dart follows the head-side dart counterclockwise).
+        The dummy's ring is [toward the head of `dart`, toward its tail,
+        back along `edge`]; the next piece fills the open forward slot
+        between the first two (faces sit on the right of their darts, so
+        the forward dart follows the head-side dart counterclockwise).
         """
         cid = self._next_x
         self._next_x += 1
@@ -260,13 +246,17 @@ class Emb:
             out.append(b if a == v else a)
         return tuple(out)
 
-    def drawing_data(self):
-        """(sequences, orientation bits) in one pass over the chains."""
+    def to_drawing(self, graph):
+        """The CombinatorialDrawing of this embedding; `graph` lists the
+        drawn vertices and edges, every vertex of it placed here.  The
+        sequences and orientation bits come from one pass over the chains."""
+        from .drawing import CombinatorialDrawing
+
         seqs = {}
         prev_dart = {}
         for edge, chain in self.chains.items():
             cids = []
-            for i, sid in enumerate(chain[:-1]):
+            for sid in chain[:-1]:
                 node = self.segs[sid][1]
                 cids.append(node[1])
                 prev_dart[(node, edge)] = (sid, 1)
@@ -279,13 +269,5 @@ class Emb:
                 i = ring.index(prev_dart[node, e])
                 orients[node[1]] = (
                     0 if ring[(i + 1) % 4] == prev_dart[node, f] else 1)
-        return seqs, orients
-
-    def to_drawing(self, graph):
-        """The CombinatorialDrawing of this embedding; `graph` lists the
-        drawn vertices and edges, every vertex of it placed here."""
-        from .drawing import CombinatorialDrawing
-
-        seqs, orients = self.drawing_data()
         rots = {v: self.vertex_rotation(v) for v in graph.vertices}
         return CombinatorialDrawing.make(graph, seqs, rots, orients)

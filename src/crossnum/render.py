@@ -26,7 +26,7 @@ def _layout(emb):
     outer = max(faces, key=lambda f: (len(f), f))
     boundary = []
     for dart in outer:
-        n = emb.tail(dart)
+        n = emb.segs[dart[0]][dart[1]]
         if n not in boundary:
             boundary.append(n)
     m = len(boundary)

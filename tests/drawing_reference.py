@@ -1,6 +1,7 @@
 """References for the drawing tests: the planarization's traced faces,
-which `crossnum.drawing.structural_key` is checked against, the Euler
-count over `Emb.faces`, which `Emb.euler_ok` is checked against, and the
+which `crossnum.drawing.structural_key` is checked against, the faces by
+their definition, which `Emb.faces` is checked against, the Euler count
+over `Emb.faces`, which `Emb.euler_ok` is checked against, and the
 structural invariants of an embedding, which `Emb.add_drawing` meets by
 construction on every table that `validate_good` accepts."""
 
@@ -8,10 +9,22 @@ from crossnum.drawing import CombinatorialDrawing
 from crossnum.embedding import Emb, vnode
 
 
+def all_darts(emb: Emb):
+    """Both darts of every segment, in segment id order."""
+    for sid in sorted(emb.segs):
+        yield (sid, 0)
+        yield (sid, 1)
+
+
+def dummy_count(emb: Emb) -> int:
+    """The dummy nodes of the planarization, one per crossing."""
+    return sum(1 for node in emb.rot if node[0] == "x")
+
+
 def validate_structure(emb: Emb):
     """Raise ValueError unless rings, chains and darts fit together."""
     for node, ring in emb.rot.items():
-        if any(emb.tail(d) != node for d in ring):
+        if any(emb.segs[d[0]][d[1]] != node for d in ring):
             raise ValueError(f"rotation at {node} holds a foreign dart")
         if len(set(ring)) != len(ring):
             raise ValueError(f"duplicate dart at {node}")
@@ -25,10 +38,30 @@ def validate_structure(emb: Emb):
         if (ends[0][0] != vnode(edge[0]) or ends[-1][1] != vnode(edge[1])
                 or any(p[1] != q[0] for p, q in zip(ends, ends[1:]))):
             raise ValueError(f"chain of {edge} is not a path")
-    darts = set(emb.all_darts())
+    darts = set(all_darts(emb))
     in_rings = {d for ring in emb.rot.values() for d in ring}
     if darts != in_rings:
         raise ValueError("rotation rings do not cover all darts")
+
+
+def faces_by_definition(emb: Emb) -> list:
+    """The face cycles from the whole successor map: the dart after rev(d)
+    is the ring successor of d.  Each cycle is rotated to its least dart,
+    and the cycles are listed in the order of those darts."""
+    after = {}
+    for ring in emb.rot.values():
+        for i, d in enumerate(ring):
+            after[Emb.rev(d)] = ring[(i + 1) % len(ring)]
+    out = []
+    while after:
+        start, d = after.popitem()
+        cycle = [start]
+        while d != start:
+            cycle.append(d)
+            d = after.pop(d)
+        i = cycle.index(min(cycle))
+        out.append(tuple(cycle[i:] + cycle[:i]))
+    return sorted(out)
 
 
 def euler_reference(emb: Emb) -> bool:

@@ -110,6 +110,20 @@ def test_unreadable_input_path_exit(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("option", ["--out-report", "--out-drawing",
+                                    "--out-svg"])
+@pytest.mark.parametrize("where", ["missing/out", "."],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_output_path_exit(tmp_path, option, where):
+    # a path under a missing directory, or a directory itself
+    code, out, err = run_cli([write_k33(tmp_path), option,
+                              str(tmp_path / where)])
+    assert code == EXIT_PARSE
+    assert out == "1\n"
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("mode", ["verify", "oracle", "dump-clusterings"])
 @pytest.mark.parametrize("option", ["--out-report", "--out-drawing",
                                     "--out-svg"])

@@ -25,7 +25,12 @@ from cluster_reference import (
     clusters,
     noncluster_count,
 )
-from drawing_reference import canonical_key, euler_reference, validate_structure
+from drawing_reference import (
+    canonical_key,
+    euler_reference,
+    faces_by_definition,
+    validate_structure,
+)
 from oracle_reference import oracle_drawings
 
 F = Fraction
@@ -172,7 +177,9 @@ def test_golden_drawings_build_well_formed_embeddings(name):
     for text in texts:
         d = drawing_from_text(text)
         assert validate_good(d).ok
-        validate_structure(d.emb())
+        emb = d.emb()
+        validate_structure(emb)
+        assert emb.faces() == faces_by_definition(emb)
 
 
 def _golden_drawings():

@@ -35,6 +35,7 @@ from crossnum.pipeline import (
 )
 
 from cluster_reference import clusters as cluster_partition
+from drawing_reference import all_darts, dummy_count, faces_by_definition
 from oracle_reference import oracle_drawings
 
 GOLDEN = Path(__file__).parent / "data"
@@ -166,9 +167,10 @@ def test_face_at_is_the_listed_face():
         for emb in enumerate_embeddings(graph, tags, lambda: 2):
             emitted += 1
             faces = emb.faces()
+            assert faces == faces_by_definition(emb)
             where = {d: cycle for cycle in faces for d in cycle}
             traced = set()
-            for d in emb.all_darts():
+            for d in all_darts(emb):
                 cycle = emb.face_at(d)
                 assert cycle == where[d]
                 traced.add(cycle)
@@ -320,7 +322,7 @@ def test_antidistance_table_against_the_router():
     table = {}
     for p in orders:
         for s in orders:
-            counts = [emb.crossing_count() for emb in enumerate_embeddings(
+            counts = [dummy_count(emb) for emb in enumerate_embeddings(
                 host, {4: p, 5: s}, lambda: 2)]
             table[p, s] = min(counts)
             assert table[p, s] == antidistance(p, s)
@@ -363,4 +365,4 @@ def test_forced_crossings_are_a_lower_bound(cg):
             host = rs.host_graph(sub.gx_edges)
             for emb in enumerate_embeddings(host, rs.tags_by_vertex(),
                                             lambda: SOUNDNESS_BUDGET):
-                assert emb.crossing_count() >= forced, rs
+                assert dummy_count(emb) >= forced, rs

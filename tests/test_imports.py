@@ -55,12 +55,43 @@ def _named(tree) -> Counter:
     )
 
 
+def _attrs(tree) -> Counter:
+    """How often each name is read as an attribute (`.name`)."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute))
+
+
+DEF_KINDS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def _defs(tree):
     """Module-level functions and classes, and methods."""
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    tops = [n for n in tree.body if isinstance(n, kinds)]
-    return tops + [n for c in tops if isinstance(c, ast.ClassDef)
-                   for n in c.body if isinstance(n, kinds)]
+    return [n for n in tree.body if isinstance(n, DEF_KINDS)] + _methods(tree)
+
+
+def _methods(tree):
+    """The defs in the bodies of the module's classes."""
+    return [n for c in tree.body if isinstance(c, ast.ClassDef)
+            for n in c.body if isinstance(n, DEF_KINDS)]
+
+
+def _unread_public(path, readers, exempt=()):
+    """The public defs of `path` that no other code in `readers` reads: a
+    module-level def by its name, a method only as an attribute `.name`,
+    so that a function or variable of the same name does not count."""
+    trees = [ast.parse(p.read_text()) for p in readers]
+    named = sum(map(_named, trees), Counter())
+    attrs = sum(map(_attrs, trees), Counter())
+    tree = ast.parse(path.read_text())
+    methods = set(map(id, _methods(tree)))
+    unread = []
+    for d in _defs(tree):
+        reads, own = (attrs, _attrs(d)) if id(d) in methods else (
+            named, _named(d))
+        if (not d.name.startswith("_") and d.name not in exempt
+                and reads[d.name] == own[d.name]):
+            unread.append(d.name)
+    return unread
 
 
 def _private_defs(tree):
@@ -81,28 +112,17 @@ def test_private_helper_has_a_caller(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_public_name_is_read(path):
-    named = sum((_named(ast.parse(p.read_text())) for p in READERS), Counter())
-    unread = [
-        d.name for d in _defs(ast.parse(path.read_text()))
-        if not d.name.startswith("_") and named[d.name] == _named(d)[d.name]
-    ]
-    assert unread == []
+    assert _unread_public(path, READERS) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_public_name_is_read_outside_tests(path):
     """A public name that only tests read is a second way to do a job
-    the solver does some other way.  Reads are matched by name alone, so
-    a benchmark field of the same name counts: perfbench's `inst.lift`
-    would keep a function `lift` from being flagged."""
-    named = sum((_named(ast.parse(p.read_text())) for p in MODULES + BENCH),
-                Counter())
-    unread = [
-        d.name for d in _defs(ast.parse(path.read_text()))
-        if not d.name.startswith("_") and d.name not in TEST_ONLY
-        and named[d.name] == _named(d)[d.name]
-    ]
-    assert unread == []
+    the solver does some other way.  Reads are matched by name, not by
+    owner, so a benchmark field of the same name counts: perfbench's
+    `inst.lift` would keep a function or method `lift` from being
+    flagged."""
+    assert _unread_public(path, MODULES + BENCH, TEST_ONLY) == []
 
 
 def _import_time_imports(node):
