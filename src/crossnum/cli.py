@@ -8,6 +8,8 @@ output path or input parse error, 3 vertex-cover size exceeded,
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 from .drawing import UnrealizableDrawing, drawing_to_text
@@ -15,13 +17,17 @@ from .graphs import (
     CompressedGraph,
     CoverSizeExceeded,
     compress,
-    expand,
     find_vertex_cover,
     parse_compressed,
     parse_edge_list,
 )
 from .iqp import IqpCapExceeded, iqp_to_text
-from .oracle import MAX_CROSSINGS, MAX_VERTICES, OracleCeilingExceeded, oracle_cr
+from .oracle import (
+    MAX_CROSSINGS,
+    OracleCeilingExceeded,
+    expand_for_oracle,
+    oracle_cr,
+)
 from .pipeline import (
     ClusteringMismatch,
     PipelineOptions,
@@ -32,6 +38,7 @@ from .pipeline import (
     initial_budget,
     verify,
 )
+from .render import render_svg
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -89,6 +96,19 @@ def build_parser():
 PARSER = build_parser()
 
 
+def _check_outputs(args):
+    """Raise OSError, as the write would, unless every output path can be
+    written: its directory exists and the path is not a directory."""
+    for path in filter(None, (args.out_report, args.out_drawing,
+                              args.out_svg)):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                    path)
+
+
 def _load(args) -> CompressedGraph:
     with open(args.input) as fh:
         text = fh.read()
@@ -108,6 +128,7 @@ def main(argv=None) -> int:
     if args.mode != "solve" and args.verbose:
         PARSER.error("-v applies only to --mode solve")
     try:
+        _check_outputs(args)
         cg = _load(args)
     except CoverSizeExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -153,26 +174,19 @@ def _run_solve(cg, opts, args) -> int:
             )
             print("# " + iqp_to_text(comp.instance).replace("\n", "\n# "),
                   file=sys.stderr)
-    if args.out_report:
-        with open(args.out_report, "w") as fh:
-            fh.write(report.to_json())
-    # opts.want_drawing is set whenever either output is asked for
-    if args.out_drawing:
-        with open(args.out_drawing, "w") as fh:
-            fh.write(drawing_to_text(report.lifted))
-    if args.out_svg:
-        from .render import render_svg
-
-        render_svg(report.lifted, args.out_svg)
+    # opts.want_drawing is set whenever a drawing output is asked for
+    for path, text in ((args.out_report, report.to_json),
+                       (args.out_drawing,
+                        lambda: drawing_to_text(report.lifted)),
+                       (args.out_svg, lambda: render_svg(report.lifted))):
+        if path:
+            with open(path, "w") as fh:
+                fh.write(text())
     return EXIT_OK
 
 
 def _run_oracle(cg, args) -> int:
-    if cg.total_vertices() > MAX_VERTICES:
-        raise OracleCeilingExceeded(
-            f"graph outside oracle size limits: {cg.total_vertices()} "
-            f"vertices (limit {MAX_VERTICES})")
-    print(oracle_cr(expand(cg), args.oracle_crossings))
+    print(oracle_cr(expand_for_oracle(cg), args.oracle_crossings))
     return EXIT_OK
 
 

@@ -49,6 +49,16 @@ class RepresentativeSet:
     k: int
     reps: tuple  # RepSpec tuple, sorted by (mask, tag)
 
+    # the crossing edge pairs: none until a clustering draws the set
+    crossings = ()
+
+    @property
+    def groups(self) -> tuple:
+        """(mask, rep indices) per neighborhood, in mask order."""
+        return tuple(
+            (m, tuple(i for i, _ in run)) for m, run in itertools.groupby(
+                enumerate(self.reps), key=lambda item: item[1].mask))
+
     def host_graph(self, gx_edges) -> Graph:
         edges = list(gx_edges)
         for spec in self.reps:
@@ -290,29 +300,21 @@ def enumerate_embeddings(graph, fixed_rotations, bound_fn, weights=None):
 
 
 @dataclass(frozen=True)
-class AbstractClustering:
+class AbstractClustering(RepresentativeSet):
     """A good drawing of G_X plus tagged representatives; the IQP skeleton."""
 
-    k: int
-    reps: tuple  # RepSpec tuple in group order
     drawing: CombinatorialDrawing
+
+    @property
+    def crossings(self):
+        """The crossing edge pairs of the drawing."""
+        return self.drawing.crossing_pairs.values()
 
     @property
     def r(self) -> int:
         """Crossings of the subdrawing induced by the cover."""
-        return sum(1 for e, f in self.drawing.crossing_pairs.values()
+        return sum(1 for e, f in self.crossings
                    if max(e) < self.k and max(f) < self.k)
-
-    @property
-    def groups(self) -> tuple:
-        """(mask, rep index range) per neighborhood, in mask order."""
-        out = []
-        for i, spec in enumerate(self.reps):
-            if out and out[-1][0] == spec.mask:
-                out[-1][1].append(i)
-            else:
-                out.append((spec.mask, [i]))
-        return tuple((m, tuple(ix)) for m, ix in out)
 
 
 def clustering_from_emb(rep_set, host, emb) -> AbstractClustering:

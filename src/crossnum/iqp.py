@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .drawing import zee
-from .enumeration import AbstractClustering
+from .enumeration import RepresentativeSet
 from .graphs import CompressedGraph
 
 
@@ -46,17 +46,19 @@ class IqpSolution:
     value: int  # r + weighted crossings + forced intra-cluster crossings
 
 
-def build_iqp(c: AbstractClustering, cg: CompressedGraph) -> IqpInstance:
-    """Read p, Q and r off an abstract clustering."""
-    k = c.k
-    h = cg.h_map
-    reps = c.reps
+def build_iqp(rs: RepresentativeSet, cg: CompressedGraph) -> IqpInstance:
+    """Read p, Q and r off the crossings of a representative set: those of
+    its drawing for a clustering, none for a bare set.  A bare set's value
+    is its floor: a clustering of the set only adds nonnegative terms to
+    its instance, so no clustering has a smaller value."""
+    k = rs.k
+    reps = rs.reps
     idx_of = {spec.vertex: i for i, spec in enumerate(reps)}
     n = len(reps)
     qm = [[0] * n for _ in range(n)]
     p = [0] * n
     r = 0
-    for e, f in c.drawing.crossing_pairs.values():
+    for e, f in rs.crossings:
         re = max(e) if max(e) >= k else None
         rf = max(f) if max(f) >= k else None
         if re is None and rf is None:
@@ -71,9 +73,8 @@ def build_iqp(c: AbstractClustering, cg: CompressedGraph) -> IqpInstance:
             qm[b][a] += 1
     for i, spec in enumerate(reps):
         qm[i][i] = zee(bin(spec.mask).count("1"))
-    groups = tuple(
-        (mask, len(ix), h[mask]) for mask, ix in c.groups
-    )
+    h = cg.h_map
+    groups = tuple((mask, len(ix), h[mask]) for mask, ix in rs.groups)
     return IqpInstance(groups, tuple(tuple(row) for row in qm), tuple(p), r)
 
 

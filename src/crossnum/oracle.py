@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from operator import add
 
-from .graphs import Graph, _nx_graph, automorphisms
+from .graphs import CompressedGraph, Graph, _nx_graph, automorphisms, expand
 
 
 class OracleCeilingExceeded(Exception):
@@ -176,6 +176,26 @@ def _least_pair_sets(perms, n_pairs: int, max_size: int, spend):
         level = kept
 
 
+def expand_for_oracle(cg: CompressedGraph) -> Graph:
+    """The expansion of `cg`, within the oracle's size limits: raises
+    OracleCeilingExceeded, before expanding, when `cg` has more than
+    MAX_VERTICES vertices, and when its expansion has more than MAX_EDGES
+    edges."""
+    n = cg.total_vertices()
+    if n > MAX_VERTICES:
+        raise OracleCeilingExceeded(
+            f"graph outside oracle size limits: {n} vertices "
+            f"(limit {MAX_VERTICES})")
+    g = expand(cg)
+    _check_size(g)
+    return g
+
+
+def _check_size(g: Graph):
+    if len(g.edges) > MAX_EDGES or len(g.vertices) > MAX_VERTICES:
+        raise OracleCeilingExceeded("graph outside oracle size limits")
+
+
 def oracle_cr(g: Graph, max_crossings: int = MAX_CROSSINGS) -> int:
     """Least c admitting c crossing pairs whose planarization is planar.
 
@@ -190,8 +210,7 @@ def oracle_cr(g: Graph, max_crossings: int = MAX_CROSSINGS) -> int:
     exceeds `MAX_WORK`: each pair set examined counts once plus once
     per automorphism image, and each planarity test once.
     """
-    if len(g.edges) > MAX_EDGES or len(g.vertices) > MAX_VERTICES:
-        raise OracleCeilingExceeded("graph outside oracle size limits")
+    _check_size(g)
     import networkx as nx
 
     if max_crossings >= 0 and is_planar(g):

@@ -7,7 +7,6 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import partial
-from math import comb
 
 from .drawing import (
     CombinatorialDrawing,
@@ -17,7 +16,6 @@ from .drawing import (
     crossing_count,
     drawing_to_text,
     validate_good,
-    zee,
 )
 from .embedding import Emb, vnode
 from .enumeration import (
@@ -31,9 +29,14 @@ from .enumeration import (
     mask_members,
 )
 from .geometry import convex_position_drawing
-from .graphs import CompressedGraph, Graph, connected_components, expand
+from .graphs import CompressedGraph, Graph, connected_components
 from .iqp import MAX_NODES, IqpInstance, build_iqp, solve_iqp
-from .oracle import MAX_CROSSINGS, MAX_EDGES, MAX_VERTICES, oracle_cr
+from .oracle import (
+    MAX_CROSSINGS,
+    OracleCeilingExceeded,
+    expand_for_oracle,
+    oracle_cr,
+)
 
 
 class ResourceCapExceeded(Exception):
@@ -184,22 +187,6 @@ def component_split(cg: CompressedGraph):
     return comps, cg.k - len(where) + cg.h_map.get(0, 0)
 
 
-def _cl_min(rep_set: RepresentativeSet, cg: CompressedGraph) -> int:
-    """Least possible forced intra-cluster crossings for this rep set."""
-    h = cg.h_map
-    by_mask: dict[int, int] = {}
-    for spec in rep_set.reps:
-        by_mask[spec.mask] = by_mask.get(spec.mask, 0) + 1
-    total = 0
-    for mask, g in by_mask.items():
-        z_val = zee(bin(mask).count("1"))
-        if z_val == 0:
-            continue
-        q, rem = divmod(h[mask], g)
-        total += ((g - rem) * comb(q, 2) + rem * comb(q + 1, 2)) * z_val
-    return total
-
-
 def _cover_group(cg: CompressedGraph) -> list:
     """The permutations p of the cover (i goes to p[i]) that map the G_X
     edges onto themselves and each h mask onto a mask with the same count;
@@ -261,11 +248,8 @@ def ordered_rep_sets(cg: CompressedGraph) -> list:
 def _router_weights(rs: RepresentativeSet, cg: CompressedGraph) -> dict:
     """The router's vertex weights for `rs`: h(Y) for a representative
     alone in its neighborhood's group; every other vertex weighs 1."""
-    by_mask: dict[int, list] = {}
-    for spec in rs.reps:
-        by_mask.setdefault(spec.mask, []).append(spec.vertex)
     h = cg.h_map
-    return {vs[0]: h[m] for m, vs in by_mask.items() if len(vs) == 1}
+    return {rs.reps[ix[0]].vertex: h[m] for m, ix in rs.groups if len(ix) == 1}
 
 
 def clustering_stream(cg: CompressedGraph, rep_sets, budget, cap: int,
@@ -277,15 +261,18 @@ def clustering_stream(cg: CompressedGraph, rep_sets, budget, cap: int,
     The budget counts weighted crossings (`_router_weights`): a crossing of
     two edges costs the product of their ends' weights, so one on the star
     of a representative alone in its group costs h(Y) or h(Y)·h(Y').  This
-    is exact for the solve's budget `value − 1 − _cl_min`.  A clustering's
-    IQP value is r + Σ p_a z_a + Σ_{a<b} Q_ab z_a z_b + Σ Z(|Y_a|)·C(z_a, 2).
+    is exact for the solve's budget `value − 1 − floor`, where a rep set's
+    floor is the value of its IQP with no crossings drawn (`build_iqp` of
+    the bare set: Q = diag Z(|Y|), p = 0, r = 0), the least
+    Σ Z(|Y_a|)·C(z_a, 2) over the feasible points.  A clustering's IQP
+    value is r + Σ p_a z_a + Σ_{a<b} Q_ab z_a z_b + Σ Z(|Y_a|)·C(z_a, 2).
     A lone representative has z_a = h(Y) at every feasible point.  Every
     other representative may be taken as z_a ≥ 1: a clustering that gives
     one weight 0 is a clustering of the smaller rep set, whose orbit is
     also solved.  Each drawn crossing then adds at least its cost to the
-    first three terms, the last is at least `_cl_min`, and so
-    value ≥ `_cl_min` + (weighted crossings): every drawing over budget has
-    a value of at least the incumbent.
+    first three terms, the last is at least the floor, and so
+    value ≥ floor + (weighted crossings): every drawing over budget has a
+    value of at least the incumbent.
 
     A rep set is skipped unrouted when its budget is already negative, or
     when its tags force more crossings than its budget
@@ -342,27 +329,31 @@ def enumerate_clusterings(cg: CompressedGraph, budget: int,
 def _solve_component(cover: tuple, cg: CompressedGraph,
                      opts: PipelineOptions) -> ComponentResult:
     """Solve one connected component, whose cover vertex i is cover[i]."""
+    # distinct clusterings, and most rep sets' floors, give equal
+    # instances; solve each once
+    solved = {}
+
+    def solve(rs):
+        inst = build_iqp(rs, cg)
+        if inst not in solved:
+            solved[inst] = solve_iqp(inst, opts.iqp_cap)
+        return inst, solved[inst]
+
     winner = chord_clustering(cg)
-    instance = build_iqp(winner, cg)
-    sol0 = solve_iqp(instance, opts.iqp_cap)
-    value, weights, key = sol0.value, sol0.z, structural_key(winner.drawing)
+    instance, sol = solve(winner)
+    value, weights, key = sol.value, sol.z, structural_key(winner.drawing)
     rep_sets = ordered_rep_sets(cg)
     counts = [0] * len(rep_sets)
-    cl_mins = [_cl_min(rs, cg) for rs in rep_sets]
-    # distinct clusterings often give equal instances; solve each once
-    solved = {instance: sol0}
+    floors = [solve(rs)[1].value for rs in rep_sets]
     tag_skipped = []
 
     def budget(i):
-        return value - 1 - cl_mins[i]
+        return value - 1 - floors[i]
 
     for i, c in clustering_stream(cg, rep_sets, budget, opts.clustering_cap,
                                   tag_skipped):
         counts[i] += 1
-        inst = build_iqp(c, cg)
-        sol = solved.get(inst)
-        if sol is None:
-            sol = solved[inst] = solve_iqp(inst, opts.iqp_cap)
+        inst, sol = solve(c)
         if sol.value > value:
             continue
         c_key = structural_key(c.drawing)
@@ -522,12 +513,13 @@ def verify(report: SolveReport, cg: CompressedGraph,
             False,
             f"lift count != reported value ({recount} != {report.value})",
         )
-    g = expand(cg) if cg.total_vertices() <= MAX_VERTICES else None
-    if g is not None and len(g.edges) <= MAX_EDGES:
-        ocr = oracle_cr(g, max_crossings)
-        if ocr != report.value:
-            return VerifyResult(
-                False, f"oracle disagrees ({ocr} != {report.value})"
-            )
-        return VerifyResult(True, f"pipeline={report.value} oracle={ocr}")
-    return VerifyResult(True, f"pipeline={report.value} oracle=skipped")
+    try:
+        g = expand_for_oracle(cg)
+    except OracleCeilingExceeded:
+        return VerifyResult(True, f"pipeline={report.value} oracle=skipped")
+    ocr = oracle_cr(g, max_crossings)
+    if ocr != report.value:
+        return VerifyResult(
+            False, f"oracle disagrees ({ocr} != {report.value})"
+        )
+    return VerifyResult(True, f"pipeline={report.value} oracle={ocr}")

@@ -61,7 +61,7 @@ def _layout(emb):
     return pos
 
 
-def render_svg(d: CombinatorialDrawing, path=None) -> str:
+def render_svg(d: CombinatorialDrawing) -> str:
     """Render the drawing; crossings appear at their dummy coordinates."""
     rep = validate_good(d)
     if not rep.ok:
@@ -105,8 +105,4 @@ def render_svg(d: CombinatorialDrawing, path=None) -> str:
                 % (x - 3, y - 3)
             )
     lines.append("</svg>")
-    out = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(out)
-    return out
+    return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 """Topological clusters and weighted clusterings of the paper, for the
 tests that check its lemmas on small drawings."""
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -121,4 +122,16 @@ def cl_value(wc: WeightedClustering):
     total = 0
     for v, c in wc.vertex_weights:
         total += comb(c, 2) * zee(g.degree(v))
+    return total
+
+
+def balanced_floor(rep_set, cg) -> int:
+    """The least sum of Z(|Y|) C(z, 2) over the weights z of `rep_set`'s
+    representatives, when each class's weights sum to its count h(Y): the
+    split of h(Y) into parts that differ by at most one."""
+    total = 0
+    for mask, g in Counter(s.mask for s in rep_set.reps).items():
+        q, rem = divmod(cg.h_map[mask], g)
+        total += zee(bin(mask).count("1")) * (
+            (g - rem) * comb(q, 2) + rem * comb(q + 1, 2))
     return total

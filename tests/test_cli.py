@@ -119,9 +119,28 @@ def test_unwritable_output_path_exit(tmp_path, option, where):
     code, out, err = run_cli([write_k33(tmp_path), option,
                               str(tmp_path / where)])
     assert code == EXIT_PARSE
-    assert out == "1\n"
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("option, where", [("--out-svg", "missing/x.svg"),
+                                           ("--out-drawing", ".")],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_output_path_leaves_nothing(tmp_path, capsys, option,
+                                               where):
+    """Every output path is checked before the solve, so one that cannot be
+    written leaves no value printed and no other output written."""
+    out_dir = tmp_path / "po"
+    out_dir.mkdir()
+    code = main([write_k33(tmp_path), "--out-report", str(out_dir / "r.json"),
+                 option, str(out_dir / where)])
+    captured = capsys.readouterr()
+    assert code == EXIT_PARSE
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert list(out_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("mode", ["verify", "oracle", "dump-clusterings"])

@@ -37,6 +37,7 @@ from crossnum.pipeline import (
     SolveReport,
     assemble_lifted,
     chord_clustering,
+    clustering_stream,
     component_split,
     crossing_number,
     duplicate_star,
@@ -46,7 +47,7 @@ from crossnum.pipeline import (
     verify,
 )
 
-from cluster_reference import clusters
+from cluster_reference import balanced_floor, clusters
 from drawing_reference import dummy_count
 from iqp_reference import feasible_points, true_value
 
@@ -676,3 +677,27 @@ def test_weighted_budget_keeps_the_value(cg):
     comps, _ = component_split(cg)
     for (_, sub), comp in zip(comps, rep.components):
         assert solve_iqp(build_iqp(comp.winner, sub)).value == comp.value
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(small_compressed())
+# the perfbench `clusterings` graph: three lone representatives with h = 4
+@example(parse_compressed("3\ngx 0 1\nh 7 4\nh 3 4\nh 5 4\n"))
+def test_floor_is_the_balanced_split(cg):
+    """A rep set's floor, the value of its IQP with no crossings drawn, is
+    the balanced split of each class over its representatives, and no
+    clustering of the set that the stream emits has a smaller value.  The
+    stream runs at each set's budget for the component's value, so it
+    emits every drawing the solve could keep."""
+    rep = crossing_number(cg)
+    comps, _ = component_split(cg)
+    for (_, sub), comp in zip(comps, rep.components):
+        rep_sets = ordered_rep_sets(sub)
+        floors = [solve_iqp(build_iqp(rs, sub)).value for rs in rep_sets]
+        want = [balanced_floor(rs, sub) for rs in rep_sets]
+        assert floors == want
+        stream = clustering_stream(sub, rep_sets,
+                                   lambda i: comp.value - want[i],
+                                   PipelineOptions().clustering_cap)
+        for i, c in stream:
+            assert floors[i] <= solve_iqp(build_iqp(c, sub)).value
