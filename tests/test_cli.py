@@ -1,3 +1,4 @@
+import hashlib
 import resource
 import subprocess
 import sys
@@ -191,6 +192,46 @@ def test_outputs_and_determinism(tmp_path):
         assert code == EXIT_OK
         arts.append((rp.read_bytes(), dp.read_bytes(), sp.read_bytes()))
     assert arts[0] == arts[1]
+
+
+# sha256 of the report, drawing and SVG bytes that the CLI writes; a
+# change in face order, crossing ids or SVG node order shows here
+PINNED_OUTPUTS = {
+    "K3,3": (
+        "edge-list", "0 3\n0 4\n0 5\n1 3\n1 4\n1 5\n2 3\n2 4\n2 5\n",
+        ("d556e448d4d7e5c52d849fd90d9daa12cce3fa92dd32aedc9ba02a6dd4285027",
+         "034c450477a8bbb820472dfc1062c45fda0424c802f13ed69e635e26ee01ba77",
+         "990211a1c4b06e590dac5b22c57a43216215fd4853d63e31893c93d24c335595")),
+    "K5": (
+        "edge-list", format_edge_list(complete_graph(5)),
+        ("493b3dabb2c3225e252ef8d7ed4c159d113bc5c22e04646d3c20f599206bfc60",
+         "546c6a35bef9930e26713ea92d5c4bf54900d661c162d8f5e7ccad7a16c3195b",
+         "5207ccb54f633426a28f761126f074ea5c3df302dc75f39680e9653a27e532f8")),
+    "K3,5 compressed": (
+        "compressed", "3\nh 7 5\n",
+        ("ed1c77e90849da9c632ed2f2bee62a82723873f4e99db533c7dc3df8924fc711",
+         "943ce9ab3f264d96ec4cddace8d5021b26a8980b77e7a348e0200913d8db522b",
+         "a1160d31d872974fd015417ac8c6e0b7918b9ea472856242070ac25136e348d0")),
+    "cover edge plus two stacks": (
+        "compressed", "3\ngx 0 1\nh 7 2\nh 3 1\n",
+        ("e3eb1dd1eba38d7bd9007bd27680de25dce5b9028e21bfde2ee8b75a4c8eaa88",
+         "f757c776186c21631e3809273f480993f5b0b9a426992383ffede5514f7ae5ca",
+         "4052eb1e2c915cf56ee44b12e096aeb216d10e12c390c15a91f89350aab121bb")),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_OUTPUTS)
+def test_output_bytes_are_pinned(tmp_path, capsys, name):
+    fmt, text, want = PINNED_OUTPUTS[name]
+    src = tmp_path / "in.txt"
+    src.write_text(text)
+    outs = [tmp_path / f for f in ("report.json", "drawing.txt", "out.svg")]
+    assert main([str(src), "--format", fmt, "--out-report", str(outs[0]),
+                 "--out-drawing", str(outs[1]),
+                 "--out-svg", str(outs[2])]) == EXIT_OK
+    capsys.readouterr()
+    assert tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in outs) == want
 
 
 def test_svg_crossing_marks(tmp_path):
