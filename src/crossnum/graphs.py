@@ -317,7 +317,9 @@ def format_edge_list(g: Graph) -> str:
 
 
 def parse_compressed(text: str) -> CompressedGraph:
-    """First line "k", then "gx u v" and "h <bitmask> <count>" lines."""
+    """First line "k", then "gx u v" and "h <bitmask> <count>" lines.  Each
+    h record needs a count of at least 1 and a mask of cover vertices; the
+    counts of repeated masks add up."""
     k = None
     gx = []
     h: dict[int, int] = {}
@@ -330,11 +332,19 @@ def parse_compressed(text: str) -> CompressedGraph:
             if len(parts) != 1:
                 raise ValueError(f"line {lineno}: expected cover size 'k'")
             k = int(parts[0])
+            if k < 0:
+                raise ValueError(f"negative cover size {k}")
             continue
         if parts[0] == "gx" and len(parts) == 3:
             gx.append(tuple(sorted(map(int, parts[1:]))))
         elif parts[0] == "h" and len(parts) == 3:
             mask, count = int(parts[1]), int(parts[2])
+            if count < 1:
+                raise ValueError(f"line {lineno}: h count {count} is not "
+                                 "positive")
+            if mask < 0 or mask.bit_length() > k:
+                raise ValueError(f"line {lineno}: h mask {mask} is not a "
+                                 f"subset of the {k} cover vertices")
             h[mask] = h.get(mask, 0) + count
         else:
             raise ValueError(f"line {lineno}: unrecognized record {raw!r}")

@@ -429,6 +429,30 @@ def test_repeated_gx_edge_is_a_parse_error(tmp_path, mode):
     assert err == "error: repeated G_X edge\n"
 
 
+# h records that are checked as they are read, before the counts of
+# repeated masks add up: a negative count must not cancel an earlier
+# record, and a zero total must not hide a mask outside the cover
+BAD_H_RECORDS = (
+    ("3\nh 7 3\nh 7 -1\n", "line 3: h count -1 is not positive"),
+    ("3\nh 99 0\n", "line 2: h count 0 is not positive"),
+    ("3\nh -5 0\n", "line 2: h count 0 is not positive"),
+    ("3\nh -5 1\n", "line 2: h mask -5 is not a subset of the 3 cover "
+                    "vertices"),
+    ("3\nh 8 1\nh 8 -1\n", "line 2: h mask 8 is not a subset of the 3 "
+                           "cover vertices"),
+)
+
+
+@pytest.mark.parametrize("text, message", BAD_H_RECORDS)
+def test_bad_h_record_is_a_parse_error(tmp_path, capsys, text, message):
+    p = tmp_path / "h.txt"
+    p.write_text(text)
+    assert main([str(p), "--format", "compressed"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_gx_record_takes_its_ends_in_either_order(tmp_path):
     """A `gx` record names a cover edge by its ends in either order, as the
     edge-list format does, and a record with equal ends is a self-loop."""
