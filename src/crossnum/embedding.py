@@ -1,25 +1,20 @@
 """Embedded planarizations: rotation systems over edge chains with dummy
 vertices at crossings, face tracing, and Euler-based sphere checks.
 
-Nodes are ('v', vertex) for original vertices and ('x', crossing_id) for
-dummies.  A drawing edge (u, v) is a chain of segments oriented u -> v; a
-dart is (segment_id, end) where end 0 points along the chain.  Rotations
-list outgoing darts in counterclockwise order, and a face's dart after d
-is the rotation-successor of rev(d) at the head of d; a rotation system is
-a sphere embedding iff V - E + F = 2 on every connected component.
+Nodes and darts are plain ints.  A node is the vertex id v (>= 0) for an
+original vertex and ~c (< 0) for the dummy of crossing c.  A drawing edge
+(u, v) is a chain of segments oriented u -> v; segment s has the darts
+2*s, which points along the chain, and 2*s + 1, which points back, so a
+dart's segment is d >> 1, its end is d & 1 and its reversal is d ^ 1.
+Rotations list outgoing darts in counterclockwise order, and a face's dart
+after d is the rotation-successor of d ^ 1 at the head of d; a rotation
+system is a sphere embedding iff V - E + F = 2 on every connected
+component.
 """
 
 from __future__ import annotations
 
 from .graphs import connected_components
-
-
-def vnode(v):
-    return ("v", v)
-
-
-def xnode(c):
-    return ("x", c)
 
 
 class Emb:
@@ -28,23 +23,19 @@ class Emb:
     def __init__(self):
         self.segs: dict[int, tuple] = {}   # seg id -> (node_a, node_b, edge)
         self.chains: dict[tuple, list[int]] = {}  # edge -> seg ids, u->v
-        self.rot: dict[tuple, list[tuple]] = {}   # node -> outgoing darts
+        self.rot: dict[int, list[int]] = {}   # node -> outgoing darts
         self._next_seg = 0
         self._next_x = 0  # the next free crossing id
 
     # -- dart algebra ---------------------------------------------------
 
     def edge_of(self, dart):
-        return self.segs[dart[0]][2]
-
-    @staticmethod
-    def rev(dart):
-        return (dart[0], 1 - dart[1])
+        return self.segs[dart >> 1][2]
 
     def end_dart(self, edge, v):
         """The dart of `edge` that leaves its end v."""
         chain = self.chains[edge]
-        return (chain[-1], 1) if edge[1] == v else (chain[0], 0)
+        return 2 * chain[-1] + 1 if edge[1] == v else 2 * chain[0]
 
     def copy(self) -> "Emb":
         e = Emb.__new__(Emb)
@@ -58,10 +49,12 @@ class Emb:
     # -- queries ----------------------------------------------------------
 
     def add_vertex(self, v):
-        node = vnode(v)
-        if node not in self.rot:
-            self.rot[node] = []
-        return node
+        """Add vertex v (an id >= 0, so that it is no dummy) unless it is
+        here already."""
+        if v < 0:
+            raise ValueError(f"negative vertex id {v}")
+        if v not in self.rot:
+            self.rot[v] = []
 
     def faces(self):
         """All face cycles (tuples of darts), each traced from its least
@@ -69,7 +62,7 @@ class Emb:
         seen = set()
         out = []
         for sid in sorted(self.segs):
-            for d in ((sid, 0), (sid, 1)):
+            for d in (2 * sid, 2 * sid + 1):
                 if d not in seen:
                     out.append(self.face_at(d))
                     seen.update(out[-1])
@@ -78,17 +71,16 @@ class Emb:
     def face_at(self, dart):
         """The face cycle through `dart`, as `faces()` lists it: traced
         from the cycle's least dart.  The dart after d is the one after
-        rev(d) in the ring at the head of d."""
+        d ^ 1 in the ring at the head of d."""
         segs, rot = self.segs, self.rot
         cycle = [dart]
-        seg, end = dart
+        d = dart
         while True:
-            ring = rot[segs[seg][1 - end]]
-            d = ring[(ring.index((seg, 1 - end)) + 1) % len(ring)]
+            ring = rot[segs[d >> 1][~d & 1]]
+            d = ring[(ring.index(d ^ 1) + 1) % len(ring)]
             if d == dart:
                 break
             cycle.append(d)
-            seg, end = d
         i = cycle.index(min(cycle))
         return tuple(cycle[i:] + cycle[:i])
 
@@ -118,10 +110,10 @@ class Emb:
             darts += len(ring)
             prev = ring[-1]
             for d in ring:
-                seg = segs.get(d[0])
-                if seg is None or seg[d[1]] != node:
+                seg = segs.get(d >> 1)
+                if seg is None or seg[d & 1] != node:
                     return False
-                after[prev[0], 1 - prev[1]] = d
+                after[prev ^ 1] = d
                 prev = d
         if len(after) != darts or darts != 2 * len(segs):
             return False
@@ -145,19 +137,19 @@ class Emb:
     def _split(self, dart, node):
         """Split the segment under `dart` at `node`; returns the dummy's
         darts toward the head and toward the tail of `dart`."""
-        seg, end = dart
+        seg = dart >> 1
         ga, gb, g = self.segs[seg]
         s1 = self._new_seg(ga, node, g)
         s2 = self._new_seg(node, gb, g)
         chain = self.chains[g]
         k = chain.index(seg)
         chain[k : k + 1] = [s1, s2]
-        self._replace(ga, (seg, 0), (s1, 0))
-        self._replace(gb, (seg, 1), (s2, 1))
+        self._replace(ga, 2 * seg, 2 * s1)
+        self._replace(gb, 2 * seg + 1, 2 * s2 + 1)
         del self.segs[seg]
-        to_start = (s1, 1)  # dart from node toward ga
-        to_end = (s2, 0)    # dart from node toward gb
-        return (to_end, to_start) if end == 0 else (to_start, to_end)
+        to_start = 2 * s1 + 1  # dart from node toward ga
+        to_end = 2 * s2        # dart from node toward gb
+        return (to_start, to_end) if dart & 1 else (to_end, to_start)
 
     def _replace(self, node, old, new):
         ring = self.rot[node]
@@ -167,7 +159,7 @@ class Emb:
         """Put the first dart of a route piece into the ring of its tail:
         at gap `pos` of a vertex, or in the open forward slot that
         cross_dart leaves at a dummy."""
-        self.rot[node].insert(1 if node[0] == "x" else pos, dart)
+        self.rot[node].insert(1 if node < 0 else pos, dart)
 
     def cross_dart(self, edge, node, pos, dart):
         """Draw a piece of `edge` from `node` (ring gap `pos`) across the
@@ -178,24 +170,22 @@ class Emb:
         between the first two (faces sit on the right of their darts, so
         the forward dart follows the head-side dart counterclockwise).
         """
-        cid = self._next_x
+        x = ~self._next_x
         self._next_x += 1
-        x = xnode(cid)
         to_head, to_tail = self._split(dart, x)
         seg = self._new_seg(node, x, edge)
         self.chains.setdefault(edge, []).append(seg)
-        self._attach(node, pos, (seg, 0))
-        self.rot[x] = [to_head, to_tail, (seg, 1)]
+        self._attach(node, pos, 2 * seg)
+        self.rot[x] = [to_head, to_tail, 2 * seg + 1]
         return x
 
     def finish_edge(self, edge, node, pos, end_pos):
         """Draw the last piece of `edge` from `node` (ring gap `pos`) to
         its end vertex, entering that ring at gap `end_pos`."""
-        vn_ = vnode(edge[1])
-        seg = self._new_seg(node, vn_, edge)
+        seg = self._new_seg(node, edge[1], edge)
         self.chains.setdefault(edge, []).append(seg)
-        self._attach(node, pos, (seg, 0))
-        self.rot[vn_].insert(end_pos, (seg, 1))
+        self._attach(node, pos, 2 * seg)
+        self.rot[edge[1]].insert(end_pos, 2 * seg + 1)
 
     def add_drawing(self, d) -> "Emb":
         """Add the CombinatorialDrawing `d` beside what this embedding
@@ -212,28 +202,27 @@ class Emb:
                 raise ValueError(f"crossing {cid} not on exactly two edges")
             new_id[cid] = self._next_x
             self._next_x += 1
-        prev: dict[tuple, tuple] = {}  # (crossing id, edge) -> dart back
-        nxt: dict[tuple, tuple] = {}   # (crossing id, edge) -> dart onward
+        # new crossing id -> its darts [back, onward] on its lesser edge,
+        # then on the other (the sequences are sorted by edge)
+        around = {c: [] for c in new_id.values()}
         for edge, seq in d.sequences:
             xs = [new_id[c] for c in seq]
-            stops = [vnode(edge[0])] + [xnode(c) for c in xs] + [vnode(edge[1])]
+            stops = [edge[0], *(~c for c in xs), edge[1]]
             chain = [self._new_seg(a, b, edge) for a, b in zip(stops, stops[1:])]
             self.chains[edge] = chain
-            for i, cid in enumerate(xs):
-                prev[cid, edge] = (chain[i], 1)
-                nxt[cid, edge] = (chain[i + 1], 0)
+            for i, c in enumerate(xs):
+                around[c] += (2 * chain[i] + 1, 2 * chain[i + 1])
         for v, neighbors in d.rotations:
-            self.rot[vnode(v)] = [
+            self.rot[v] = [
                 self.end_dart((v, w) if v < w else (w, v), v) for w in neighbors
             ]
         bits = dict(d.orientations)
         for cid, c in new_id.items():
-            e, f = pairs[cid]
-            ep, en, fp, fn = prev[c, e], nxt[c, e], prev[c, f], nxt[c, f]
+            ep, en, fp, fn = around[c]
             if bits.get(cid, 0) == 0:
-                self.rot[xnode(c)] = [ep, fp, en, fn]
+                self.rot[~c] = [ep, fp, en, fn]
             else:
-                self.rot[xnode(c)] = [ep, fn, en, fp]
+                self.rot[~c] = [ep, fn, en, fp]
         return self
 
     # -- extraction -------------------------------------------------------
@@ -241,7 +230,7 @@ class Emb:
     def vertex_rotation(self, v) -> tuple[int, ...]:
         """Neighbor ids of v in rotation order (simple graphs)."""
         out = []
-        for d in self.rot[vnode(v)]:
+        for d in self.rot[v]:
             a, b = self.edge_of(d)
             out.append(b if a == v else a)
         return tuple(out)
@@ -249,25 +238,22 @@ class Emb:
     def to_drawing(self, graph):
         """The CombinatorialDrawing of this embedding; `graph` lists the
         drawn vertices and edges, every vertex of it placed here.  The
-        sequences and orientation bits come from one pass over the chains."""
+        sequences come from one pass over the chains, the orientation bits
+        from one over the dummies' rings."""
         from .drawing import CombinatorialDrawing
 
-        seqs = {}
-        prev_dart = {}
-        for edge, chain in self.chains.items():
-            cids = []
-            for sid in chain[:-1]:
-                node = self.segs[sid][1]
-                cids.append(node[1])
-                prev_dart[(node, edge)] = (sid, 1)
-            seqs[edge] = tuple(cids)
+        seqs = {
+            edge: tuple(~self.segs[sid][1] for sid in chain[:-1])
+            for edge, chain in self.chains.items()
+        }
         orients = {}
         for node, ring in self.rot.items():
-            if node[0] == "x":
-                # a dummy's first two darts lie on its two edges
-                e, f = sorted((self.edge_of(ring[0]), self.edge_of(ring[1])))
-                i = ring.index(prev_dart[node, e])
-                orients[node[1]] = (
-                    0 if ring[(i + 1) % 4] == prev_dart[node, f] else 1)
+            if node < 0:
+                # a dummy's two odd darts run back along its two edges; the
+                # bit is 0 when the lesser edge's is followed by the other's
+                i, j = [k for k, d in enumerate(ring) if d & 1]
+                if self.edge_of(ring[i]) > self.edge_of(ring[j]):
+                    i, j = j, i
+                orients[~node] = 0 if (i + 1) % 4 == j else 1
         rots = {v: self.vertex_rotation(v) for v in graph.vertices}
         return CombinatorialDrawing.make(graph, seqs, rots, orients)

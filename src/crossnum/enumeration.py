@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .drawing import CombinatorialDrawing, antidistance
-from .embedding import Emb, vnode
+from .embedding import Emb
 from .graphs import CompressedGraph, Graph
 
 
@@ -205,7 +205,7 @@ class _Router:
         so the drawn neighbours stay in the tag's cyclic order."""
         tag = self.tags.get(w)
         if tag is None:
-            return range(max(len(emb.rot[vnode(w)]), 1))
+            return range(max(len(emb.rot[w]), 1))
         if other not in tag:
             return ()
         drawn = emb.vertex_rotation(w)
@@ -223,14 +223,14 @@ class _Router:
         gaps, ends = self._gaps(emb, u, v), self._gaps(emb, v, u)
         if not gaps or not ends:
             return
-        ring_u = emb.rot[vnode(u)]
+        ring_u = emb.rot[u]
         if ring_u:
             starts = [(pos, emb.face_at(ring_u[pos])) for pos in gaps]
         else:
             starts = [(0, cycle) for cycle in emb.faces()] or [(0, ())]
         for pos, cycle in starts:
             yield from self._grow(
-                emb, edge, ends, vnode(u), pos, cycle, frozenset(), 0,
+                emb, edge, ends, u, pos, cycle, frozenset(), 0,
                 budget_left,
             )
 
@@ -241,7 +241,7 @@ class _Router:
         at each gap of `ends` that the face reaches.  The route's crossings
         so far cost `spent`; a crossing that would take it over `budget` is
         not tried."""
-        ring_v = emb.rot[vnode(edge[1])]
+        ring_v = emb.rot[edge[1]]
         on_face = set(cycle)
         for end_pos in ends:
             if not ring_v or ring_v[end_pos] in on_face:

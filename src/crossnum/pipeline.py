@@ -17,7 +17,7 @@ from .drawing import (
     drawing_to_text,
     validate_good,
 )
-from .embedding import Emb, vnode
+from .embedding import Emb
 from .enumeration import (
     AbstractClustering,
     RepresentativeSet,
@@ -394,9 +394,9 @@ def duplicate_star(emb: Emb, v: int, v_new: int):
     The sphere property is not checked here; a lift checks it once after
     the last copy.
     """
-    ring = emb.rot[vnode(v)]
+    ring = emb.rot[v]
     edges = [emb.edge_of(d) for d in ring]
-    if v_new <= v or vnode(v_new) in emb.rot or any(e[1] != v for e in edges):
+    if v_new <= v or v_new in emb.rot or any(e[1] != v for e in edges):
         raise ValueError(
             f"cannot copy the star of {v} to {v_new}: the copy must be a "
             f"larger id not yet drawn, and {v} the larger end of each of its "
@@ -424,10 +424,10 @@ def duplicate_star(emb: Emb, v: int, v_new: int):
             steps_out = []
             for e_p in reversed(edges[q:]):
                 hub_cnt[e_p] += 1
-                steps_out.append((emb.chains[e_p][-hub_cnt[e_p]], 0))
+                steps_out.append(2 * emb.chains[e_p][-hub_cnt[e_p]])
         # corridor along e_q, outward from v over the pre-duplication dummies
         # (e_q's own chain never changes during its corridor, so index once)
-        back = {emb.segs[sid][1]: (sid, 1) for sid in emb.chains[e_q]}
+        back = {emb.segs[sid][1]: 2 * sid + 1 for sid in emb.chains[e_q]}
         for node in reversed(snapshot[e_q]):
             ringx = emb.rot[node]
             j = ringx.index(back[node])
@@ -437,17 +437,17 @@ def duplicate_star(emb: Emb, v: int, v_new: int):
             if left:
                 target = ringx[(j - 1) % 4]
             else:
-                target = Emb.rev(ringx[(j + 1) % 4])
+                target = ringx[(j + 1) % 4] ^ 1
             if emb.edge_of(target) == e_q:
                 raise ValueError(f"stacked copy of {e_q} would cross it")
             steps_out.append(target)
         y_q = e_q[0]
-        copy_edge, node = (y_q, v_new), vnode(y_q)
+        copy_edge, node = (y_q, v_new), y_q
         idx = emb.rot[node].index(emb.end_dart(e_q, y_q))
         pos = idx + 1 if left else idx
         for d in reversed(steps_out):
-            node = emb.cross_dart(copy_edge, node, pos, Emb.rev(d))
-        emb.finish_edge(copy_edge, node, pos, len(emb.rot[vnode(v_new)]))
+            node = emb.cross_dart(copy_edge, node, pos, d ^ 1)
+        emb.finish_edge(copy_edge, node, pos, len(emb.rot[v_new]))
 
 
 def assemble_lifted(cg: CompressedGraph, report: SolveReport) -> CombinatorialDrawing:

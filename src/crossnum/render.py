@@ -15,8 +15,14 @@ from .drawing import CombinatorialDrawing, UnrealizableDrawing, validate_good
 SIZE = 420  # width and height of the picture
 
 
+def _node_order(node):
+    """Sort key of a planarization node: vertices by id (a vertex is its id
+    >= 0), then dummies by crossing id (crossing c is the node ~c)."""
+    return (node < 0, ~node if node < 0 else node)
+
+
 def _layout(emb):
-    nodes = sorted(emb.rot)
+    nodes = sorted(emb.rot, key=_node_order)
     faces = emb.faces()
     pos = {}
     if not faces:
@@ -26,7 +32,7 @@ def _layout(emb):
     outer = max(faces, key=lambda f: (len(f), f))
     boundary = []
     for dart in outer:
-        n = emb.segs[dart[0]][dart[1]]
+        n = emb.segs[dart >> 1][dart & 1]
         if n not in boundary:
             boundary.append(n)
     m = len(boundary)
@@ -87,16 +93,16 @@ def render_svg(d: CombinatorialDrawing) -> str:
             'stroke="black" stroke-width="1.2"/>'
             % (sx(pos[a]), sy(pos[a]), sx(pos[b]), sy(pos[b]))
         )
-    for n in sorted(emb.rot):
+    for n in sorted(emb.rot, key=_node_order):
         x, y = sx(pos[n]), sy(pos[n])
-        if n[0] == "v":
+        if n >= 0:
             lines.append(
                 '<circle cx="%.2f" cy="%.2f" r="5" fill="black" '
                 'class="vertex"/>' % (x, y)
             )
             lines.append(
                 '<text x="%.2f" y="%.2f" font-size="10" fill="red">%s</text>'
-                % (x + 6, y - 6, n[1])
+                % (x + 6, y - 6, n)
             )
         else:
             lines.append(

@@ -6,36 +6,36 @@ structural invariants of an embedding, which `Emb.add_drawing` meets by
 construction on every table that `validate_good` accepts."""
 
 from crossnum.drawing import CombinatorialDrawing
-from crossnum.embedding import Emb, vnode
+from crossnum.embedding import Emb
 
 
 def all_darts(emb: Emb):
     """Both darts of every segment, in segment id order."""
     for sid in sorted(emb.segs):
-        yield (sid, 0)
-        yield (sid, 1)
+        yield 2 * sid
+        yield 2 * sid + 1
 
 
 def dummy_count(emb: Emb) -> int:
     """The dummy nodes of the planarization, one per crossing."""
-    return sum(1 for node in emb.rot if node[0] == "x")
+    return sum(1 for node in emb.rot if node < 0)
 
 
 def validate_structure(emb: Emb):
     """Raise ValueError unless rings, chains and darts fit together."""
     for node, ring in emb.rot.items():
-        if any(emb.segs[d[0]][d[1]] != node for d in ring):
+        if any(emb.segs[d >> 1][d & 1] != node for d in ring):
             raise ValueError(f"rotation at {node} holds a foreign dart")
         if len(set(ring)) != len(ring):
             raise ValueError(f"duplicate dart at {node}")
-        if node[0] == "x":
+        if node < 0:
             edges = [emb.edge_of(d) for d in ring]
             if (len(ring) != 4 or edges[0] != edges[2]
                     or edges[1] != edges[3] or edges[0] == edges[1]):
                 raise ValueError(f"dummy {node} does not cross two edges")
     for edge, chain in emb.chains.items():
         ends = [emb.segs[sid] for sid in chain]
-        if (ends[0][0] != vnode(edge[0]) or ends[-1][1] != vnode(edge[1])
+        if (ends[0][0] != edge[0] or ends[-1][1] != edge[1]
                 or any(p[1] != q[0] for p, q in zip(ends, ends[1:]))):
             raise ValueError(f"chain of {edge} is not a path")
     darts = set(all_darts(emb))
@@ -45,13 +45,13 @@ def validate_structure(emb: Emb):
 
 
 def faces_by_definition(emb: Emb) -> list:
-    """The face cycles from the whole successor map: the dart after rev(d)
-    is the ring successor of d.  Each cycle is rotated to its least dart,
+    """The face cycles from the whole successor map: the dart after d ^ 1
+    (the reversal of d) is the ring successor of d.  Each cycle is rotated to its least dart,
     and the cycles are listed in the order of those darts."""
     after = {}
     for ring in emb.rot.values():
         for i, d in enumerate(ring):
-            after[Emb.rev(d)] = ring[(i + 1) % len(ring)]
+            after[d ^ 1] = ring[(i + 1) % len(ring)]
     out = []
     while after:
         start, d = after.popitem()
@@ -74,7 +74,7 @@ def euler_reference(emb: Emb) -> bool:
 
 
 def _canonical_dart(emb: Emb, dart):
-    seg, end = dart
+    seg, end = dart >> 1, dart & 1
     a, b, edge = emb.segs[seg]
     k = emb.chains[edge].index(seg)
     return (edge, k, end)

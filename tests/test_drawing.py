@@ -135,23 +135,23 @@ def test_validate_one_crossing_k5_realizable():
 
 
 def _swap_dummy_halves(emb):
-    ring = emb.rot[("x", 0)]
+    ring = emb.rot[~0]
     ring[1], ring[2] = ring[2], ring[1]
 
 
 def _drop_vertex_dart(emb):
-    emb.rot[("v", 0)].pop()
+    emb.rot[0].pop()
 
 
 def _repeat_vertex_dart(emb):
-    ring = emb.rot[("v", 0)]
+    ring = emb.rot[0]
     ring.append(ring[0])
 
 
 def _cut_chain(emb):
     sid = emb.chains[(2, 4)][0]
     a, b, e = emb.segs[sid]
-    emb.segs[sid] = (a, ("v", 3), e)
+    emb.segs[sid] = (a, 3, e)
 
 
 @pytest.mark.parametrize("breaker", [
@@ -211,10 +211,10 @@ def test_euler_ok_fails_closed_on_a_broken_ring():
     gone, fails the check instead of raising."""
     d = drawing_from_text((GOLDEN / "lifted_k35.txt").read_text())
     emb = d.emb()
-    emb.rot[("v", 0)].pop()
+    emb.rot[0].pop()
     assert emb.euler_ok() is False
     emb = d.emb()
-    del emb.segs[emb.rot[("v", 0)][0][0]]
+    del emb.segs[emb.rot[0][0] >> 1]
     assert emb.euler_ok() is False
 
 
@@ -503,6 +503,14 @@ def test_add_drawing_numbers_crossings_after_those_present():
     assert sorted(pairs) == list(range(18))
     assert all(min(min(pair)) >= 10 for c, pair in pairs.items() if c >= 9)
     assert emb.euler_ok()
+
+
+def test_emb_refuses_a_negative_vertex_id():
+    # negative nodes are the dummies of crossings
+    emb = Emb()
+    with pytest.raises(ValueError, match="negative vertex id -1"):
+        emb.add_vertex(-1)
+    assert emb.rot == {}
 
 
 def test_emb_numbers_crossings_in_the_order_of_their_ids():

@@ -48,7 +48,11 @@ from crossnum.pipeline import (
 )
 
 from cluster_reference import balanced_floor, clusters
-from drawing_reference import dummy_count
+from drawing_reference import (
+    dummy_count,
+    faces_by_definition,
+    validate_structure,
+)
 from iqp_reference import feasible_points, true_value
 
 
@@ -486,6 +490,33 @@ def test_duplicate_star_takes_only_the_orientation_a_lift_makes():
     duplicate_star(emb, 3, 4)
     assert dummy_count(emb) == zee(3) == 1
     assert emb.euler_ok()
+
+
+@pytest.mark.parametrize("text", [
+    "3\nh 7 5\n",                        # K_{3,5}
+    "3\ngx 0 1\ngx 1 2\nh 7 6\n",        # K_{1,2,6}
+    "3\ngx 0 1\nh 7 4\nh 3 4\nh 5 4\n",  # the clusterings workload's graph
+])
+def test_every_stacked_copy_keeps_the_embedding_well_formed(monkeypatch, text):
+    """After each copy a lift stacks, rings, chains and darts fit together
+    and the traced faces are the faces by definition."""
+    import crossnum.pipeline as pipeline
+
+    copies = []
+
+    def checked(emb, v, v_new):
+        duplicate_star(emb, v, v_new)
+        validate_structure(emb)
+        assert emb.faces() == faces_by_definition(emb)
+        copies.append(v_new)
+
+    monkeypatch.setattr(pipeline, "duplicate_star", checked)
+    cg = parse_compressed(text)
+    rep = crossing_number(cg, PipelineOptions(want_drawing=True))
+    assert len(copies) == sum(w - 1 for c in rep.components
+                              for w in c.weights if w)
+    assert copies and crossing_count(rep.lifted) == rep.value
+    assert validate_good(rep.lifted).ok
 
 
 def test_one_sphere_check_per_lift(monkeypatch):
