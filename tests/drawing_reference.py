@@ -46,8 +46,9 @@ def validate_structure(emb: Emb):
 
 def faces_by_definition(emb: Emb) -> list:
     """The face cycles from the whole successor map: the dart after d ^ 1
-    (the reversal of d) is the ring successor of d.  Each cycle is rotated to its least dart,
-    and the cycles are listed in the order of those darts."""
+    (the reversal of d) is the ring successor of d.  Each cycle is rotated
+    to its least dart, and the cycles are listed in the order of those
+    darts."""
     after = {}
     for ring in emb.rot.values():
         for i, d in enumerate(ring):
