@@ -9,7 +9,7 @@ cover group), and planarity testing is networkx's left-right test.
 networkx is imported where it is first needed, so importing this module,
 or solving without the oracle, does not load it.
 
-Two reductions keep the search small; neither changes the value.
+Three reductions keep the search small; none changes the value.
 
 * Orderly generation (Read 1978; McKay, "Isomorph-free exhaustive
   generation", 1998).  A pair set is a sorted tuple of pair indices, and
@@ -27,6 +27,15 @@ Two reductions keep the search small; neither changes the value.
   (Euler's formula; an acyclic G - S has at most n - 1 <= that many).  If
   fewer edges than |E| minus that bound meet every pair of P, no order
   of P's crossings can be planar, and P is skipped untested.
+* Deletion prune.  Take a planar planarization of P and delete from it
+  the paths of the edges of a set S that meets every pair of P.  Each
+  dummy lay on the paths of its two crossing edges, at least one of them
+  in S, so it now lies on at most one path: what is left is a
+  subdivision of G - S inside a planar graph.  So if G - S is non-planar
+  for some such S, no order of P's crossings is planar, and P is skipped.
+  The sets S are the leaves of the search tree of the Euler prune, and
+  each G - S is tested once per call.  The Euler prune is the special
+  case in which G - S has more edges than its girth allows.
 """
 
 from __future__ import annotations
@@ -106,17 +115,19 @@ def _planarization_nx(g: Graph, pair_set, orders):
 def _pair_permutations(g: Graph, pairs) -> list[tuple[int, ...]]:
     """The automorphisms of g acting on indices into `pairs`: distinct,
     identity dropped."""
-    edge_index = {e: i for i, e in enumerate(g.edges)}
+    # both tables take either orientation, so an image needs no sorting
+    edge_index = {}
+    for i, (u, v) in enumerate(g.edges):
+        edge_index[u, v] = edge_index[v, u] = i
     pair_edges = [(edge_index[e], edge_index[f]) for e, f in pairs]
-    pair_index = {pr: i for i, pr in enumerate(pair_edges)}
+    pair_index = {}
+    for i, (a, b) in enumerate(pair_edges):
+        pair_index[a, b] = pair_index[b, a] = i
     perms = set()
     for sigma in automorphisms(g):
-        moved = [edge_index[min(sigma[u], sigma[v]), max(sigma[u], sigma[v])]
-                 for u, v in g.edges]
-        perms.add(tuple(
-            pair_index[min(moved[i], moved[j]), max(moved[i], moved[j])]
-            for i, j in pair_edges
-        ))
+        moved = [edge_index[sigma[u], sigma[v]] for u, v in g.edges]
+        perms.add(tuple(pair_index[moved[i], moved[j]]
+                        for i, j in pair_edges))
     perms.discard(tuple(range(len(pairs))))
     return sorted(perms)
 
@@ -139,6 +150,19 @@ def _hits_below(pair_set, k: int) -> bool:
         return False
     return any(
         _hits_below([p for p in pair_set if x not in p], k - 1)
+        for x in pair_set[0]
+    )
+
+
+def _deletion_refutes(pair_set, planar_without, cut=frozenset()) -> bool:
+    """Whether some edge set that contains `cut` and meets every pair of
+    `pair_set` leaves a non-planar graph: the search tree of `_hits_below`,
+    with `planar_without(S)` (is G - S planar?) asked at each leaf S."""
+    if not pair_set:
+        return not planar_without(cut)
+    return any(
+        _deletion_refutes([p for p in pair_set if x not in p],
+                          planar_without, cut | {x})
         for x in pair_set[0]
     )
 
@@ -203,7 +227,9 @@ def oracle_cr(g: Graph, max_crossings: int = MAX_CROSSINGS) -> int:
     their automorphism orbit (`_least_pair_sets`; see the module docstring
     for why this is exhaustive).  Each is tested, under every order of
     the crossings along each edge, unless fewer than `need` (|E| minus
-    the planar edge bound) edges meet all of its pairs: the Euler prune.
+    the planar edge bound) edges meet all of its pairs (the Euler prune),
+    or some edge set meeting all of its pairs leaves a non-planar graph
+    (the deletion prune).
 
     Raises `OracleCeilingExceeded` when g is outside the size limits, when
     no drawing has at most `max_crossings` crossings, or when the work
@@ -213,10 +239,6 @@ def oracle_cr(g: Graph, max_crossings: int = MAX_CROSSINGS) -> int:
     _check_size(g)
     import networkx as nx
 
-    if max_crossings >= 0 and is_planar(g):
-        return 0
-    pairs = _nonadjacent_pairs(g)
-    need = len(g.edges) - _planar_edge_bound(g)
     work = 0
 
     def spend(units):
@@ -228,10 +250,26 @@ def oracle_cr(g: Graph, max_crossings: int = MAX_CROSSINGS) -> int:
                 "planarity tests"
             )
 
+    planar_memo: dict[frozenset, bool] = {}
+
+    def planar_without(cut):
+        """Whether g minus the edges in `cut` is planar, tested once."""
+        if cut not in planar_memo:
+            spend(1)
+            planar_memo[cut] = is_planar(
+                Graph(g.vertices, tuple(e for e in g.edges if e not in cut)))
+        return planar_memo[cut]
+
+    if max_crossings >= 0 and planar_without(frozenset()):
+        return 0
+    pairs = _nonadjacent_pairs(g)
+    need = len(g.edges) - _planar_edge_bound(g)
+
     for s in _least_pair_sets(_pair_permutations(g, pairs), len(pairs),
                               max_crossings, spend):
         pair_set = tuple(pairs[i] for i in s)
-        if _hits_below(pair_set, need):
+        if (_hits_below(pair_set, need)
+                or _deletion_refutes(pair_set, planar_without)):
             continue
         for orders in _order_assignments(pair_set):
             spend(1)

@@ -8,9 +8,17 @@ from hypothesis import strategies as st
 
 from crossnum import oracle
 from crossnum.drawing import crossing_count, structural_key, validate_good
-from crossnum.graphs import Graph, automorphisms, complete_bipartite, complete_graph
+from crossnum.graphs import (
+    CompressedGraph,
+    Graph,
+    automorphisms,
+    complete_bipartite,
+    complete_graph,
+    expand,
+)
 from crossnum.oracle import (
     OracleCeilingExceeded,
+    _deletion_refutes,
     _hits_below,
     _least_pair_sets,
     _nonadjacent_pairs,
@@ -54,9 +62,9 @@ def test_oracle_ceiling_signal():
 
 
 def test_oracle_work_cap(monkeypatch):
-    # K_{3,5} takes 597 712 units: 830 pair sets examined, each counted
+    # K_{3,5} takes 597 652 units: 830 pair sets examined, each counted
     # once plus once per image under its 719 non-identity automorphisms,
-    # and 112 planarity tests
+    # and 52 planarity tests
     k35 = complete_bipartite(3, 5)
     monkeypatch.setattr(oracle, "MAX_WORK", 500_000)
     with pytest.raises(OracleCeilingExceeded, match="work cap"):
@@ -136,6 +144,58 @@ def test_euler_prune_is_sound(case):
         for orders in _order_assignments(pair_set):
             ng = _planarization_nx(g, pair_set, orders)
             assert not nx.check_planarity(ng, counterexample=False)[0]
+
+
+def _planar_without(g):
+    return lambda cut: is_planar(
+        Graph(g.vertices, tuple(e for e in g.edges if e not in cut)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(nonplanar_graph_and_pair_set())
+def test_deletion_prune_is_sound(case):
+    """A pair set the deletion prune skips has no planar order, and it
+    skips every set the Euler prune skips."""
+    g, pair_set = case
+    refuted = _deletion_refutes(pair_set, _planar_without(g))
+    if _hits_below(pair_set, len(g.edges) - _planar_edge_bound(g)):
+        assert refuted
+    if refuted:
+        for orders in _order_assignments(pair_set):
+            ng = _planarization_nx(g, pair_set, orders)
+            assert not nx.check_planarity(ng, counterexample=False)[0]
+
+
+# Cover-4 graphs of test_pipeline.py::test_cover_four_mixed_rotations_match_oracle,
+# where the deletion prune skips most pair sets.
+C4_3 = expand(CompressedGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)), ((15, 3),)))
+P4_3 = expand(CompressedGraph(4, ((0, 1), (1, 2), (2, 3)), ((15, 3),)))
+
+
+@pytest.mark.parametrize("g", [C4_3, P4_3], ids=["C4+3", "P4+3"])
+def test_pruned_search_matches_definition_on_cover_four(g):
+    assert oracle_cr(g, 2) == plain_oracle_cr(g, 2) == 2
+
+
+@pytest.mark.parametrize("g, tests", [
+    (C4_3, 18),
+    (P4_3, 29),
+    (complete_bipartite(3, 5), 52),
+], ids=["C4+3", "P4+3", "K35"])
+def test_planarity_test_count_is_pinned(monkeypatch, g, tests):
+    """The deletion prune's memo and its place after the Euler prune give
+    these counts; a change that switched the prune off would raise them
+    (to 72, 151 and 113)."""
+    calls = []
+    check = nx.check_planarity
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(nx, "check_planarity", counting)
+    oracle_cr(g)
+    assert len(calls) == tests
 
 
 def test_oracle_drawings_triangle():
